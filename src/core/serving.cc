@@ -27,14 +27,12 @@ struct ServingMetrics {
   obs::Counter& ingest_batches;
   obs::Histogram& query_related_seconds;
   obs::Histogram& query_external_seconds;
-  obs::Histogram& ingest_seconds;
   obs::Histogram& shared_lock_wait;
   obs::Histogram& exclusive_lock_wait;
   obs::Gauge& corpus_docs;
   obs::Gauge& index_segments;
   obs::Gauge& postings_bytes;
   obs::Counter& pruned_docs;
-  obs::Counter& wal_appends;
   obs::Counter& wal_replayed;
   obs::Gauge& snapshot_bytes;
   obs::Histogram& snapshot_save_seconds;
@@ -48,9 +46,11 @@ struct ServingMetrics {
   static ServingMetrics& get() {
     static ServingMetrics* m = [] {
       obs::MetricsRegistry& r = obs::MetricsRegistry::global();
-      // Touching any stage histogram registers all seven stage series,
+      // Touching any stage histogram registers all seven stage series, and
+      // IngestMetrics::get() the ingest series shared with ShardedServing,
       // completing the exposition alongside the serving metrics below.
       obs::stage_histogram(obs::Stage::kAnalyze);
+      IngestMetrics::get();
       return new ServingMetrics{
           r.counter("ibseg_queries_total", "Queries served.",
                     {{"op", "find_related"}}),
@@ -71,9 +71,6 @@ struct ServingMetrics {
                       "End-to-end serving query latency, including lock "
                       "wait, in seconds.",
                       {{"op", "find_related_external"}}),
-          r.histogram("ibseg_ingest_seconds",
-                      "End-to-end add_post latency (prepare + publish), "
-                      "in seconds."),
           r.histogram("ibseg_lock_wait_seconds",
                       "Time spent acquiring the serving reader/writer "
                       "lock, in seconds.",
@@ -94,8 +91,6 @@ struct ServingMetrics {
                     "MaxScore upper-bound test — before their first "
                     "contribution or mid-accumulation — instead of being "
                     "fully scored."),
-          r.counter("ibseg_wal_appends_total",
-                    "Ingest records appended to the write-ahead log."),
           r.counter("ibseg_wal_replayed_records",
                     "WAL records re-published during warm restart (torn or "
                     "already-snapshotted records excluded)."),
@@ -130,6 +125,28 @@ struct ServingMetrics {
 };
 
 }  // namespace
+
+IngestMetrics& IngestMetrics::get() {
+  static IngestMetrics* m = [] {
+    obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+    return new IngestMetrics{
+        r.histogram("ibseg_ingest_seconds",
+                    "End-to-end ingest latency (prepare + log + publish) "
+                    "of one add_post, or of one whole add_posts batch on "
+                    "the sharded facade, in seconds."),
+        r.counter("ibseg_wal_appends_total",
+                  "Write-ahead log appends that succeeded, in records (a "
+                  "sharded ingest appends twice: publication journal, then "
+                  "the owner shard's WAL)."),
+        r.counter("ibseg_wal_errors_total",
+                  "Write-ahead log appends that failed, in records. The "
+                  "post is still published (availability wins), so a "
+                  "non-zero value means acknowledged ingests that may not "
+                  "survive a crash."),
+    };
+  }();
+  return *m;
+}
 
 double centroid_drift(const std::vector<std::vector<double>>& before,
                       const std::vector<std::vector<double>>& after) {
@@ -354,7 +371,8 @@ ServingPipeline::QueryResult ServingPipeline::find_related_external(
 
 DocId ServingPipeline::add_post(std::string text) {
   ServingMetrics& m = ServingMetrics::get();
-  obs::TraceScope latency(m.ingest_seconds);
+  IngestMetrics& im = IngestMetrics::get();
+  obs::TraceScope latency(im.ingest_seconds);
   DocId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   WalRecord rec;
   if (wal_ != nullptr) rec = WalRecord{id, text};
@@ -366,9 +384,8 @@ DocId ServingPipeline::add_post(std::string text) {
   // before the post becomes queryable. Appending under the exclusive lock
   // makes WAL order identical to publication order, which replay relies
   // on. A failed append does not block publication — availability wins —
-  // but is visible as ibseg_wal_appends_total falling behind
-  // ibseg_ingested_posts_total.
-  if (wal_ != nullptr && wal_->append(rec)) m.wal_appends.inc();
+  // but is counted in ibseg_wal_errors_total.
+  if (wal_ != nullptr) im.count_wal(wal_->append(rec));
   double dist = 0.0;
   {
     obs::TraceScope publish(obs::Stage::kIndexPublish);
@@ -411,8 +428,9 @@ std::vector<DocId> ServingPipeline::add_posts(std::vector<std::string> texts) {
   lock_wait.stop();
   // Write-ahead, one frame per record but one fsync per batch (see
   // IngestWal::append_batch); same ordering rationale as add_post.
-  if (wal_ != nullptr && !records.empty() && wal_->append_batch(records)) {
-    m.wal_appends.inc(records.size());
+  if (wal_ != nullptr && !records.empty()) {
+    IngestMetrics::get().count_wal(wal_->append_batch(records),
+                                   records.size());
   }
   {
     obs::TraceScope publish(obs::Stage::kIndexPublish);

@@ -12,6 +12,7 @@
 
 #include "core/pipeline.h"
 #include "core/query_cache.h"
+#include "obs/metrics.h"
 #include "storage/wal.h"
 
 /// \file
@@ -41,6 +42,22 @@ struct ServingPersistOptions {
   /// ignores this; ShardedServing uses this and ignores wal_path. Empty
   /// (the default) disables sharded persistence.
   std::string shard_dir;
+};
+
+/// The ingest instruments both serving facades feed — ServingPipeline's
+/// add_post/add_posts and ShardedServing's — registered once, so either
+/// path reports into the same process-wide series.
+struct IngestMetrics {
+  obs::Histogram& ingest_seconds;  ///< ibseg_ingest_seconds
+  obs::Counter& wal_appends;       ///< ibseg_wal_appends_total
+  obs::Counter& wal_errors;        ///< ibseg_wal_errors_total
+
+  static IngestMetrics& get();
+
+  /// Counts the outcome of appending `records` WAL records.
+  void count_wal(bool ok, uint64_t records = 1) {
+    (ok ? wal_appends : wal_errors).inc(records);
+  }
 };
 
 /// Drift score of a recluster: 1 - mean best-cosine alignment of each old

@@ -523,8 +523,11 @@ void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
     // Journal first (global order), then the owner's WAL (payload), then
     // the index publish — so on replay a journal entry without WAL data
     // means "never published" and is skipped, never guessed at.
-    journal_->append(WalRecord{id, std::string()});
-    wals_[owner]->append(WalRecord{id, text});
+    // Failures are counted, not refused: the post is still published
+    // (acknowledgement semantics are the same as ServingPipeline's).
+    IngestMetrics& im = IngestMetrics::get();
+    im.count_wal(journal_->append(WalRecord{id, std::string()}));
+    im.count_wal(wals_[owner]->append(WalRecord{id, text}));
   }
   pub_shard_pos_.push_back(shards_[owner]->num_docs());
   shards_[owner]->publish_prepared(std::move(post));
@@ -533,6 +536,7 @@ void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
 }
 
 DocId ShardedServing::add_post(std::string text) {
+  obs::TraceScope latency(IngestMetrics::get().ingest_seconds);
   DocId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   uint32_t owner = shard_of(id, num_shards());
   std::string logged = journal_ != nullptr ? text : std::string();
@@ -543,6 +547,7 @@ DocId ShardedServing::add_post(std::string text) {
 }
 
 std::vector<DocId> ShardedServing::add_posts(std::vector<std::string> texts) {
+  obs::TraceScope latency(IngestMetrics::get().ingest_seconds);
   std::vector<DocId> ids;
   std::vector<PreparedPost> prepared;
   std::vector<std::string> logged;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "index/inverted_index.h"
 
 namespace ibseg {
 
@@ -122,79 +121,88 @@ bool FlatPostings::decode_run(const uint8_t* data, size_t size, uint32_t df,
   return true;
 }
 
-FlatPostings FlatPostings::seal(
-    const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
-        term_postings,
-    const std::vector<double>& unit_norms,
-    const std::vector<double>& unit_log_tf_sums,
-    const std::vector<double>& unit_lengths) {
-  FlatPostings flat;
-  flat.meta_.reserve(term_postings.size());
-  // Pre-size the arena roughly (2 bytes per posting is the floor); the
-  // vector still grows as needed but mostly in one step.
-  size_t postings_total = 0;
-  for (const auto& [term, plist] : term_postings) {
-    (void)term;
-    postings_total += plist->size();
+void FlatPostings::append(TermId term, uint32_t unit, double tf,
+                          const UnitLexStats& unit_stats) {
+  TermRun& run = runs_[term];
+  assert(run.tail.empty() ? (run.base_df == 0 || unit > run.last_base_unit)
+                          : unit > run.tail.back().unit);
+  run.tail.push_back(Posting{unit, tf});
+  ++tail_postings_;
+  // Bound inputs: each "max"/"min" is taken over the exact doubles the
+  // scoring expressions produce for this posting, so comparisons in the
+  // pruning path are between identical bit patterns. Folding posting by
+  // posting in unit order is the same sequential loop a one-pass build
+  // runs, so the result does not depend on where the folds fall.
+  FlatTermMeta& meta = run.meta;
+  ++meta.df;
+  double log_tf_plus1 = std::log(tf) + 1.0;
+  double len = unit_stats.length;
+  double tf_over_len = tf / std::max(len, 1e-9);
+  double log_tf_sum = unit_stats.log_tf_sum;
+  if (tf > meta.max_tf) meta.max_tf = tf;
+  if (meta.min_tf == 0.0 || tf < meta.min_tf) meta.min_tf = tf;
+  if (log_tf_plus1 > meta.max_log_tf_plus1) {
+    meta.max_log_tf_plus1 = log_tf_plus1;
   }
-  flat.arena_.reserve(postings_total * 3);
-  for (const auto& [term, plist] : term_postings) {
-    if (plist->empty()) continue;
-    FlatTermMeta meta;
-    meta.df = static_cast<uint32_t>(plist->size());
-    meta.offset = flat.arena_.size();
-    uint32_t prev = 0;
-    bool first = true;
-    for (const Posting& p : *plist) {
-      append_posting(&flat.arena_, p.unit, p.tf, prev, first);
+  if (tf_over_len > meta.max_tf_over_len) meta.max_tf_over_len = tf_over_len;
+  if (meta.min_len == 0.0 || len < meta.min_len) meta.min_len = len;
+  if (meta.min_log_tf_sum == 0.0 || log_tf_sum < meta.min_log_tf_sum) {
+    meta.min_log_tf_sum = log_tf_sum;
+  }
+}
+
+void FlatPostings::fold() {
+  std::vector<std::pair<TermId, TermRun*>> order;
+  order.reserve(runs_.size());
+  for (auto& [term, run] : runs_) order.emplace_back(term, &run);
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // 2 bytes per posting is the encoding floor; tails mostly fit in 3.
+  std::vector<uint8_t> arena;
+  arena.reserve(arena_.size() + tail_postings_ * 3);
+  for (const auto& [term, run] : order) {
+    uint64_t offset = arena.size();
+    // The base run is already encoded: copy it verbatim, then continue the
+    // delta chain from its last unit — exactly the bytes a one-pass seal
+    // over base + tail would write.
+    arena.insert(arena.end(), arena_.begin() + static_cast<long>(run->offset),
+                 arena_.begin() + static_cast<long>(run->offset + run->bytes));
+    uint32_t prev = run->last_base_unit;
+    bool first = run->base_df == 0;
+    for (const Posting& p : run->tail) {
+      append_posting(&arena, p.unit, p.tf, prev, first);
       prev = p.unit;
       first = false;
-      // Bound inputs: each "max"/"min" is taken over the exact doubles the
-      // scoring expressions produce for this posting, so comparisons in
-      // the pruning path are between identical bit patterns.
-      double log_tf_plus1 = std::log(p.tf) + 1.0;
-      double norm = unit_norms[p.unit];
-      double weight = log_tf_plus1 / norm;
-      double len = unit_lengths[p.unit];
-      double tf_over_len = p.tf / std::max(len, 1e-9);
-      double log_tf_sum = unit_log_tf_sums[p.unit];
-      if (p.tf > meta.max_tf) meta.max_tf = p.tf;
-      if (meta.min_tf == 0.0 || p.tf < meta.min_tf) meta.min_tf = p.tf;
-      if (log_tf_plus1 > meta.max_log_tf_plus1) {
-        meta.max_log_tf_plus1 = log_tf_plus1;
-      }
-      if (weight > meta.max_weight) meta.max_weight = weight;
-      if (tf_over_len > meta.max_tf_over_len) {
-        meta.max_tf_over_len = tf_over_len;
-      }
-      if (meta.min_len == 0.0 || len < meta.min_len) meta.min_len = len;
-      if (meta.min_log_tf_sum == 0.0 || log_tf_sum < meta.min_log_tf_sum) {
-        meta.min_log_tf_sum = log_tf_sum;
-      }
     }
-    meta.bytes = flat.arena_.size() - meta.offset;
-    flat.meta_.emplace_back(term, meta);
+    run->offset = offset;
+    run->bytes = arena.size() - offset;
+    run->base_df = run->meta.df;
+    run->last_base_unit = prev;
+    std::vector<Posting>().swap(run->tail);
   }
-  std::sort(flat.meta_.begin(), flat.meta_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return flat;
+  arena_ = std::move(arena);
+  base_postings_ += tail_postings_;
+  tail_postings_ = 0;
+  ++folds_;
+}
+
+const FlatPostings::TermRun* FlatPostings::find(TermId term) const {
+  auto it = runs_.find(term);
+  return it == runs_.end() ? nullptr : &it->second;
 }
 
 const FlatTermMeta* FlatPostings::term_meta(TermId term) const {
-  auto it = std::lower_bound(
-      meta_.begin(), meta_.end(), term,
-      [](const auto& entry, TermId t) { return entry.first < t; });
-  if (it == meta_.end() || it->first != term) return nullptr;
-  return &it->second;
+  const TermRun* run = find(term);
+  return run == nullptr ? nullptr : &run->meta;
 }
 
 uint32_t FlatPostings::decode_term(TermId term, std::vector<uint32_t>* units,
                                    std::vector<double>* tfs) const {
-  const FlatTermMeta* meta = term_meta(term);
-  if (meta == nullptr) return 0;
-  units->reserve(units->size() + meta->df);
-  tfs->reserve(tfs->size() + meta->df);
-  Cursor c = cursor(term);
+  const TermRun* run = find(term);
+  if (run == nullptr) return 0;
+  units->reserve(units->size() + run->meta.df);
+  tfs->reserve(tfs->size() + run->meta.df);
+  Cursor c = cursor_of(*run);
   uint32_t unit = 0;
   double tf = 0.0;
   uint32_t n = 0;
@@ -203,22 +211,33 @@ uint32_t FlatPostings::decode_term(TermId term, std::vector<uint32_t>* units,
     tfs->push_back(tf);
     ++n;
   }
-  assert(n == meta->df);  // sealed arenas always decode completely
+  assert(n == run->meta.df);  // sealed arenas always decode completely
   return n;
 }
 
 FlatPostings::Cursor FlatPostings::cursor(TermId term) const {
+  const TermRun* run = find(term);
+  return run == nullptr ? Cursor() : cursor_of(*run);
+}
+
+FlatPostings::Cursor FlatPostings::cursor_of(const TermRun& run) const {
   Cursor c;
-  const FlatTermMeta* meta = term_meta(term);
-  if (meta == nullptr) return c;
-  c.p_ = arena_.data() + meta->offset;
-  c.end_ = c.p_ + meta->bytes;
-  c.remaining_ = meta->df;
+  c.p_ = arena_.data() + run.offset;
+  c.end_ = c.p_ + run.bytes;
+  c.remaining_ = run.base_df;
+  c.tail_ = run.tail.data();
+  c.tail_end_ = c.tail_ + run.tail.size();
   return c;
 }
 
 bool FlatPostings::Cursor::next(uint32_t* unit, double* tf) {
-  if (remaining_ == 0) return false;
+  if (remaining_ == 0) {
+    if (tail_ == tail_end_) return false;
+    *unit = tail_->unit;
+    *tf = tail_->tf;
+    ++tail_;
+    return true;
+  }
   uint64_t delta = 0;
   if (!read_varint(&p_, end_, &delta)) {
     remaining_ = 0;  // corrupt arena: stop rather than over-read
@@ -241,12 +260,19 @@ bool FlatPostings::Cursor::next(uint32_t* unit, double* tf) {
 }
 
 std::vector<uint8_t> FlatPostings::term_run_bytes(TermId term) const {
-  const FlatTermMeta* meta = term_meta(term);
-  if (meta == nullptr) return {};
-  return std::vector<uint8_t>(arena_.begin() + static_cast<long>(meta->offset),
-                              arena_.begin() +
-                                  static_cast<long>(meta->offset +
-                                                    meta->bytes));
+  const TermRun* run = find(term);
+  if (run == nullptr) return {};
+  std::vector<uint8_t> bytes(
+      arena_.begin() + static_cast<long>(run->offset),
+      arena_.begin() + static_cast<long>(run->offset + run->bytes));
+  uint32_t prev = run->last_base_unit;
+  bool first = run->base_df == 0;
+  for (const Posting& p : run->tail) {
+    append_posting(&bytes, p.unit, p.tf, prev, first);
+    prev = p.unit;
+    first = false;
+  }
+  return bytes;
 }
 
 }  // namespace ibseg

@@ -3,26 +3,35 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
+#include "index/collection_stats.h"
 #include "text/vocabulary.h"
 
 namespace ibseg {
 
-struct Posting;
+/// A posting: a unit (segment or whole document, depending on which matcher
+/// owns the index) and the term frequency within it.
+struct Posting {
+  uint32_t unit = 0;
+  double tf = 0.0;
+};
 
-/// Per-term metadata of the sealed serving form, computed once at seal
-/// time. The max-*/min-* fields are the inputs of the MaxScore pruning
-/// bounds (see scoring.h and docs/ARCHITECTURE.md §7): every "max" is the
-/// exact floating-point maximum of the corresponding per-posting value the
-/// scoring functions compute — taken over the *same* expressions scoring
-/// evaluates, so `stored bound >= every actual contribution` holds as a
-/// statement about doubles, not reals. tests/flat_postings_test.cc checks
-/// the invariant exhaustively on small corpora.
+/// Per-term statistics of the serving form: df plus the inputs of the
+/// MaxScore pruning bounds (see scoring.h and docs/ARCHITECTURE.md §7).
+/// FlatPostings::append folds each posting in exactly once, at add time,
+/// so every "max"/"min" is the exact floating-point maximum/minimum of the
+/// corresponding per-posting value the scoring functions compute — taken
+/// over the *same* expressions scoring evaluates, so `bound >= every actual
+/// contribution` holds as a statement about doubles, not reals. None of the
+/// fields depends on collection statistics (unit norms, averages), so a
+/// posting's contribution to them never goes stale as the collection grows,
+/// and folding posting by posting in unit order yields the identical bits a
+/// one-pass build over the same postings yields.
+/// tests/flat_postings_test.cc checks both properties.
 struct FlatTermMeta {
   uint32_t df = 0;          ///< postings count (|units| containing the term)
-  uint64_t offset = 0;      ///< byte offset of the term's run in the arena
-  uint64_t bytes = 0;       ///< encoded byte length of the run
   double max_tf = 0.0;      ///< max term frequency over postings
   /// min term frequency over postings. The pruned scorer requires
   /// min_tf >= 1 for the paper function (it guarantees log(tf) + 1 >= 0,
@@ -34,16 +43,11 @@ struct FlatTermMeta {
   /// std::log call scoring uses, so no monotonicity assumption on libm is
   /// needed for the paper-scoring bound.
   double max_log_tf_plus1 = 0.0;
-  /// max over postings of (log tf + 1) / unit_norm(unit) with the sealing
-  /// index's own (post-floor) norms — the exact per-posting Eq. 8 weight
-  /// of the local-statistics paper-scoring path.
-  double max_weight = 0.0;
   /// min over postings of the unit's log-tf sum. Because the NU pivot
   /// factor is >= (1 - kNormPivotSlope) = 0.25 (a power of two, so the
   /// product rounds exactly), 0.25 * min_log_tf_sum lower-bounds every
-  /// posting unit's norm under ANY collection statistics — the
-  /// context-independent norm bound the sharded (global-stats) pruning
-  /// path needs.
+  /// posting unit's norm under ANY collection statistics — local or
+  /// global — which is what makes the paper function's bound norm-free.
   double min_log_tf_sum = 0.0;
   double min_len = 0.0;         ///< min unit length (BM25 bound input)
   double max_tf_over_len = 0.0; ///< max of tf / max(len, 1e-9) (LM bound)
@@ -55,39 +59,54 @@ struct FlatDecodeStats {
   size_t bytes = 0;     ///< bytes consumed
 };
 
-/// The inverted index's *serving* form: every term's postings laid out in
-/// one contiguous arena, unit ids delta/varint-encoded and term
-/// frequencies encoded exactly (integral tf as a varint, anything else as
-/// the raw IEEE-754 bit pattern — decode returns the identical double
-/// either way, which the bit-identity contract of the differential suite
-/// depends on).
+/// The inverted index's *serving* form: a sealed base plus an append-only
+/// tail.
 ///
-/// The structure is sealed from a finalized InvertedIndex and immutable
-/// afterwards; add_unit() marks the owning index un-finalized, and the
-/// next finalize() re-seals a fresh arena — the flat form can never serve
-/// stale postings across an ingest (the epoch/publication machinery
-/// re-finalizes touched cluster indices before publishing).
+///  * The **base** lays every term's postings out in one contiguous arena,
+///    unit ids delta/varint-encoded and term frequencies encoded exactly
+///    (integral tf as a varint, anything else as the raw IEEE-754 bit
+///    pattern — decode returns the identical double either way, which the
+///    bit-identity contract of the differential suite depends on).
+///  * The **tail** holds, per term, the postings appended since the last
+///    fold as plain (unit, tf) pairs. Units are appended in ascending id
+///    order, so a term's tail postings all follow its base run: readers
+///    see the base run followed by the tail, one ascending sequence.
+///
+/// append() is O(1): it pushes the posting onto its term's tail and folds
+/// it into the term's FlatTermMeta. fold() re-seals base + tail into a
+/// fresh arena (the old base runs are copied byte for byte; only the tail
+/// is encoded). The owning index folds once the tail holds more than
+/// 1/kTailFoldDivisor of the base's postings, so the re-seal costs
+/// amortized O(1) per posting, and after a fold the arena is byte-identical
+/// to one sealed in a single pass over the same postings.
+///
+/// Not internally synchronized: the serving layers append and fold under
+/// their exclusive publication lock and read under the shared one.
 class FlatPostings {
  public:
   FlatPostings() = default;
 
-  /// Seals the serving form: one arena run per term in ascending TermId
-  /// order. `postings_of(term)` must yield postings with strictly
-  /// ascending unit ids (InvertedIndex appends units in insertion order).
-  /// `unit_norms` and `unit_log_tf_sums`/`unit_lengths` supply the
-  /// per-unit values the metadata maxima/minima are computed from.
-  static FlatPostings seal(
-      const std::vector<std::pair<TermId, const std::vector<Posting>*>>&
-          term_postings,
-      const std::vector<double>& unit_norms,
-      const std::vector<double>& unit_log_tf_sums,
-      const std::vector<double>& unit_lengths);
+  /// Appends one posting of `term` to the tail and folds it into the
+  /// term's metadata. `unit` must exceed every unit already posted for
+  /// `term` (InvertedIndex appends units in insertion order); `unit_stats`
+  /// are the unit's lexical statistics (the bound inputs).
+  void append(TermId term, uint32_t unit, double tf,
+              const UnitLexStats& unit_stats);
 
-  /// Metadata for `term`; nullptr when the term is absent.
+  /// True when the tail has outgrown 1/kTailFoldDivisor of the base.
+  bool fold_due() const {
+    return tail_postings_ * kTailFoldDivisor > base_postings_;
+  }
+
+  /// Re-seals base + tail into a fresh arena (one run per term in
+  /// ascending TermId order) and empties the tail.
+  void fold();
+
+  /// Metadata for `term` over base + tail; nullptr when the term is absent.
   const FlatTermMeta* term_meta(TermId term) const;
 
-  /// Forward-only decoder over one term's run. Bounds-checked: next()
-  /// never reads outside the term's [offset, offset + bytes) window.
+  /// Forward-only decoder over one term's base run followed by its tail.
+  /// Bounds-checked: next() never reads outside the term's arena window.
   class Cursor {
    public:
     Cursor() = default;
@@ -96,42 +115,53 @@ class FlatPostings {
     bool next(uint32_t* unit, double* tf);
 
     /// True when all postings have been consumed.
-    bool done() const { return remaining_ == 0; }
+    bool done() const { return remaining_ == 0 && tail_ == tail_end_; }
 
    private:
     friend class FlatPostings;
     const uint8_t* p_ = nullptr;
     const uint8_t* end_ = nullptr;
-    uint32_t remaining_ = 0;
+    uint32_t remaining_ = 0;  ///< base postings left
     uint32_t prev_unit_ = 0;
     bool first_ = true;
+    const Posting* tail_ = nullptr;
+    const Posting* tail_end_ = nullptr;
   };
 
-  /// Decoder positioned at the start of `term`'s run (empty cursor when
-  /// the term is absent).
+  /// Decoder positioned at the start of `term`'s postings (empty cursor
+  /// when the term is absent).
   Cursor cursor(TermId term) const;
 
-  /// Number of distinct terms sealed.
-  size_t num_terms() const { return meta_.size(); }
+  /// Number of distinct terms.
+  size_t num_terms() const { return runs_.size(); }
 
-  /// Arena size in bytes (the ibseg_postings_bytes input).
+  /// Sealed arena size in bytes.
   size_t arena_bytes() const { return arena_.size(); }
 
-  /// Total in-memory footprint: arena + per-term metadata table.
+  /// Postings in the sealed base / in the tail.
+  size_t base_postings() const { return base_postings_; }
+  size_t tail_postings() const { return tail_postings_; }
+
+  /// Number of fold() calls so far.
+  uint64_t folds() const { return folds_; }
+
+  /// Total in-memory footprint (the ibseg_postings_bytes input): base
+  /// arena + tail postings + per-term metadata table.
   size_t total_bytes() const {
-    return arena_.size() +
-           meta_.size() * (sizeof(TermId) + sizeof(FlatTermMeta));
+    return arena_.size() + tail_postings_ * sizeof(Posting) +
+           runs_.size() * (sizeof(TermId) + sizeof(TermRun));
   }
 
-  /// Raw arena bytes of one term's run (empty when absent) — seed material
-  /// for the decoder fuzz target and the golden-encoding tests.
+  /// The encoded bytes of `term`'s whole run, base + tail (empty when
+  /// absent) — what fold() would seal it to. Seed material for the decoder
+  /// fuzz target and the golden-encoding tests.
   std::vector<uint8_t> term_run_bytes(TermId term) const;
 
-  /// Decodes the whole run of `term` into parallel (unit, tf) arrays,
-  /// appending; returns the number of postings appended (0 when absent).
-  /// One tight decode pass — the pruned query path pre-decodes each
-  /// admitted term once and then works over plain arrays, keeping varint
-  /// branching out of its per-candidate loops.
+  /// Decodes all postings of `term` (base, then tail) into parallel
+  /// (unit, tf) arrays, appending; returns the number of postings appended
+  /// (0 when absent). One tight decode pass — the pruned query path
+  /// pre-decodes each admitted term once and then works over plain arrays,
+  /// keeping varint branching out of its per-candidate loops.
   uint32_t decode_term(TermId term, std::vector<uint32_t>* units,
                        std::vector<double>* tfs) const;
 
@@ -160,9 +190,25 @@ class FlatPostings {
                          FlatDecodeStats* stats = nullptr);
 
  private:
+  /// One term: metadata over all its postings, the location of its sealed
+  /// base run, and its tail.
+  struct TermRun {
+    FlatTermMeta meta;
+    uint64_t offset = 0;          ///< byte offset of the base run
+    uint64_t bytes = 0;           ///< encoded byte length of the base run
+    uint32_t base_df = 0;         ///< postings in the base run
+    uint32_t last_base_unit = 0;  ///< delta origin of the first tail posting
+    std::vector<Posting> tail;
+  };
+
+  const TermRun* find(TermId term) const;
+  Cursor cursor_of(const TermRun& run) const;
+
   std::vector<uint8_t> arena_;
-  /// (TermId, meta) sorted by TermId; lookups binary-search.
-  std::vector<std::pair<TermId, FlatTermMeta>> meta_;
+  std::unordered_map<TermId, TermRun> runs_;
+  size_t base_postings_ = 0;
+  size_t tail_postings_ = 0;
+  uint64_t folds_ = 0;
 };
 
 }  // namespace ibseg

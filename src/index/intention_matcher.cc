@@ -223,7 +223,7 @@ std::vector<ScoredDoc> IntentionMatcher::match_cluster_terms(
   if (!options_.exhaustive_fallback) {
     // MaxScore-pruned path: exclusion, threshold and (score desc, DocId
     // asc) selection all happen inside score_units_maxscore, against the
-    // sealed flat postings. Bit-identical to the fallback below — the
+    // flat postings. Bit-identical to the fallback below — the
     // differential suite sweeps the equivalence.
     PruneStats stats;
     std::vector<ScoredUnit> hits = score_units_maxscore(

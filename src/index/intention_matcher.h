@@ -177,8 +177,9 @@ class IntentionMatcher {
   /// segments are assigned to the nearest intention centroid (the paper
   /// re-clusters offline periodically and finds intentions stable over
   /// time, Sec. 9.2, so nearest-centroid assignment between re-clusterings
-  /// is sound); same-cluster segments are concatenated (refinement) and the
-  /// touched cluster indices re-finalized. `doc.id()` must be new.
+  /// is sound); same-cluster segments are concatenated (refinement), appended
+  /// to the touched cluster indices (O(postings of the post) plus each
+  /// index's O(units) norm pass) and re-finalized. `doc.id()` must be new.
   /// `centroids` are the offline clustering's centroids; `features`
   /// must match the options the clustering was built with.
   ///
@@ -212,9 +213,10 @@ class IntentionMatcher {
   /// Total number of indexed segments (diagnostics).
   size_t num_segments() const { return total_segments_; }
 
-  /// Bytes of the sealed flat postings arenas across all cluster indices
-  /// (metadata tables included) — the ibseg_postings_bytes gauge input.
-  /// Requires every index finalized (always true outside build/ingest).
+  /// Bytes of the flat postings across all cluster indices — sealed base
+  /// arenas, append-only tails and metadata tables — the
+  /// ibseg_postings_bytes gauge input. Requires every index finalized
+  /// (always true outside build/ingest).
   size_t postings_bytes() const {
     size_t total = 0;
     for (const ClusterIndex& ci : indices_) total += ci.index.flat().total_bytes();

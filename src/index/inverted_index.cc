@@ -3,22 +3,36 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <utility>
 
 #include "obs/trace.h"
 
 namespace ibseg {
 
+namespace {
+
+obs::Counter& postings_folds() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "ibseg_postings_folds_total",
+      "Postings tail folds: re-seals of a cluster index's flat arena once "
+      "its append-only tail outgrew the fold fraction of the base.");
+  return c;
+}
+
+}  // namespace
+
 uint32_t InvertedIndex::add_unit(const TermVector& terms) {
   finalized_ = false;  // norms must be recomputed
   uint32_t unit = static_cast<uint32_t>(stats_.size());
+  UnitLexStats unit_stats = compute_unit_lex_stats(terms);
   for (const auto& [term, tf] : terms.entries()) {
     if (tf <= 0.0) continue;
-    postings_[term].push_back(Posting{unit, tf});
+    flat_.append(term, unit, tf, unit_stats);
     collection_tf_[term] += tf;
     collection_length_ += tf;
   }
-  stats_.push_back(compute_unit_lex_stats(terms));
+  stats_.push_back(unit_stats);
+  total_unique_ += static_cast<double>(unit_stats.unique_terms);
+  length_sum_ += unit_stats.length;
   unit_norms_.push_back(1.0);  // placeholder until finalize()
   return unit;
 }
@@ -29,14 +43,12 @@ void InvertedIndex::finalize() {
   // early-return above would otherwise flood the stage histogram with
   // no-op samples.
   obs::TraceScope term_weight(obs::Stage::kTermWeight);
-  double total_unique = 0.0;
-  for (const UnitLexStats& s : stats_) total_unique += s.unique_terms;
-  avg_unique_terms_ =
-      stats_.empty() ? 0.0 : total_unique / static_cast<double>(stats_.size());
-  double length_sum = 0.0;
-  for (const UnitLexStats& s : stats_) length_sum += s.length;
-  avg_length_ =
-      stats_.empty() ? 0.0 : length_sum / static_cast<double>(stats_.size());
+  const double n = static_cast<double>(stats_.size());
+  avg_unique_terms_ = stats_.empty() ? 0.0 : total_unique_ / n;
+  avg_length_ = stats_.empty() ? 0.0 : length_sum_ / n;
+  // Every pre-floor norm depends on the NU average, which every add moves,
+  // so this pass is inherently O(units); the floor's sum is serial in unit
+  // order (the one order-sensitive float sum of the scoring stack).
   double norm_sum = 0.0;
   for (size_t u = 0; u < stats_.size(); ++u) {
     unit_norms_[u] = pre_floor_unit_norm(stats_[u].log_tf_sum,
@@ -44,42 +56,33 @@ void InvertedIndex::finalize() {
                                          avg_unique_terms_);
     norm_sum += unit_norms_[u];
   }
+  norm_floor_ = 0.0;
   if (!unit_norms_.empty() && min_norm_fraction > 0.0) {
-    double floor =
-        min_norm_fraction * norm_sum / static_cast<double>(unit_norms_.size());
-    for (double& n : unit_norms_) n = std::max(n, floor);
+    norm_floor_ = min_norm_fraction * norm_sum / n;
+    for (double& norm : unit_norms_) norm = std::max(norm, norm_floor_);
   }
-  // Seal the contiguous serving form. Norms are final (post-floor) at this
-  // point, so the per-term pruning metadata (max Eq. 8 weight etc.) is
-  // computed against exactly the values the query path will score with.
-  std::vector<std::pair<TermId, const std::vector<Posting>*>> term_postings;
-  term_postings.reserve(postings_.size());
-  for (const auto& [term, plist] : postings_) {
-    term_postings.emplace_back(term, &plist);
+  // The postings need no per-ingest work here: their metadata was folded
+  // at add time and does not depend on the norms. Only a tail that has
+  // outgrown its share of the base is sealed into a fresh arena.
+  if (flat_.fold_due()) {
+    flat_.fold();
+    postings_folds().inc();
   }
-  std::sort(term_postings.begin(), term_postings.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<double> log_tf_sums(stats_.size());
-  std::vector<double> lengths(stats_.size());
-  for (size_t u = 0; u < stats_.size(); ++u) {
-    log_tf_sums[u] = stats_[u].log_tf_sum;
-    lengths[u] = stats_[u].length;
-  }
-  flat_ = FlatPostings::seal(term_postings, unit_norms_, log_tf_sums,
-                             lengths);
   finalized_ = true;
 }
 
-const std::vector<Posting>& InvertedIndex::postings(TermId term) const {
-  assert(finalized_);
-  static const std::vector<Posting>* kEmpty = new std::vector<Posting>();
-  auto it = postings_.find(term);
-  return it == postings_.end() ? *kEmpty : it->second;
+std::vector<Posting> InvertedIndex::postings(TermId term) const {
+  std::vector<uint32_t> units;
+  std::vector<double> tfs;
+  flat_.decode_term(term, &units, &tfs);
+  std::vector<Posting> out(units.size());
+  for (size_t i = 0; i < units.size(); ++i) out[i] = Posting{units[i], tfs[i]};
+  return out;
 }
 
 size_t InvertedIndex::df(TermId term) const {
-  auto it = postings_.find(term);
-  return it == postings_.end() ? 0 : it->second.size();
+  const FlatTermMeta* meta = flat_.term_meta(term);
+  return meta == nullptr ? 0 : meta->df;
 }
 
 double InvertedIndex::collection_tf(TermId term) const {
@@ -89,8 +92,11 @@ double InvertedIndex::collection_tf(TermId term) const {
 
 double InvertedIndex::weight(TermId term, uint32_t unit) const {
   assert(finalized_);
-  for (const Posting& p : postings(term)) {
-    if (p.unit == unit) return (std::log(p.tf) + 1.0) / unit_norms_[unit];
+  FlatPostings::Cursor cur = flat_.cursor(term);
+  uint32_t u = 0;
+  double tf = 0.0;
+  while (cur.next(&u, &tf)) {
+    if (u == unit) return (std::log(tf) + 1.0) / unit_norms_[unit];
   }
   return 0.0;
 }

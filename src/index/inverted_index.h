@@ -13,13 +13,6 @@
 
 namespace ibseg {
 
-/// A posting: a unit (segment or whole document, depending on which matcher
-/// owns the index) and the term frequency within it.
-struct Posting {
-  uint32_t unit = 0;
-  double tf = 0.0;
-};
-
 /// Full-text inverted index over "units". The intention matcher builds one
 /// per intention cluster (|C| indices, Sec. 7 "Indexing"); the FullText
 /// baseline builds a single one over whole posts.
@@ -31,24 +24,27 @@ class InvertedIndex {
  public:
   InvertedIndex() = default;
 
-  /// Adds a unit. Unit ids are assigned densely in insertion order and
-  /// returned. Call finalize() before querying; adding after finalize() is
-  /// allowed (online ingestion) but requires re-finalizing.
+  /// Adds a unit: O(postings of the unit). Each posting is appended to the
+  /// serving form's tail and folded into its term's FlatTermMeta once.
+  /// Unit ids are assigned densely in insertion order and returned. Call
+  /// finalize() before querying; adding after finalize() is allowed
+  /// (online ingestion) but requires re-finalizing.
   uint32_t add_unit(const TermVector& terms);
 
-  /// Computes the collection-dependent normalizations. Idempotent until
-  /// the next add_unit.
+  /// Recomputes the collection-dependent normalizations — the NU pivot
+  /// average, every unit's norm and the norm floor, O(units) scalar work —
+  /// and folds the postings tail into the sealed base when it has outgrown
+  /// 1/kTailFoldDivisor of it. Idempotent until the next add_unit.
   void finalize();
 
-  /// Postings for `term` (empty when absent). Requires finalize(). This is
-  /// the node-heavy *build* form; the query path reads the sealed flat()
-  /// serving form instead (identical decoded values, contiguous layout).
-  const std::vector<Posting>& postings(TermId term) const;
+  /// Decoded copy of the postings of `term`, ascending by unit (empty when
+  /// absent). Diagnostics and tests; the query path reads flat().
+  std::vector<Posting> postings(TermId term) const;
 
-  /// The sealed, arena-backed serving form of the postings (flat_postings.h):
-  /// rebuilt by every finalize(), so it can never lag the build form —
-  /// add_unit() un-finalizes the index and querying re-requires finalize().
-  /// Requires finalize().
+  /// The serving form of the postings (flat_postings.h): a sealed arena
+  /// base followed by the append-only tail of units added since the last
+  /// fold, so it never lags add_unit. Requires finalize() — the unit norms
+  /// scoring pairs it with are only current after one.
   const FlatPostings& flat() const {
     assert(finalized_);
     return flat_;
@@ -62,6 +58,10 @@ class InvertedIndex {
 
   /// Average number of unique terms per unit (the pivot of NU, Eq. 7/8).
   double avg_unique_terms() const { return avg_unique_terms_; }
+
+  /// The norm floor finalize() applied (0 when min_norm_fraction <= 0 or
+  /// the index is empty): every unit_norm() is >= this value.
+  double norm_floor() const { return norm_floor_; }
 
   /// Eq. 7/8 denominator for `unit`:
   ///   sum_{t' in unit} (log tf(t') + 1) * NU(unit)
@@ -112,14 +112,18 @@ class InvertedIndex {
   double min_norm_fraction = 1.0;
 
  private:
-  std::unordered_map<TermId, std::vector<Posting>> postings_;
   FlatPostings flat_;
   std::unordered_map<TermId, double> collection_tf_;
   std::vector<UnitLexStats> stats_;
   std::vector<double> unit_norms_;
+  /// Running sums over stats_ in unit order — the same serial sums a loop
+  /// over every unit would compute, kept current at add time.
+  double total_unique_ = 0.0;
+  double length_sum_ = 0.0;
   double avg_unique_terms_ = 0.0;
   double avg_length_ = 0.0;
   double collection_length_ = 0.0;
+  double norm_floor_ = 0.0;
   bool finalized_ = false;
 };
 

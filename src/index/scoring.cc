@@ -37,12 +37,12 @@ double global_unit_norm(const InvertedIndex& index, uint32_t unit,
 
 // --- Bound slack ------------------------------------------------------
 //
-// Per-term bounds are exact fp maxima of the contribution expressions
-// (paper function, local stats) or conservative rearrangements whose only
-// error sources are a handful of correctly-vs-nearly-correctly rounded
-// ops (BM25's shared-tf numerator/denominator, the LM's libm log, the
-// sharded norm lower bound). kTermSlack (1e-11 relative) dwarfs those
-// few-ulp effects. Summed bounds additionally differ from the score's
+// Per-term bounds are conservative rearrangements of the contribution
+// expressions over exact fp maxima/minima of their per-posting inputs;
+// the only error sources are a handful of correctly-vs-nearly-correctly
+// rounded ops (BM25's shared-tf numerator/denominator, the LM's libm log,
+// the paper function's norm lower bound). kTermSlack (1e-11 relative)
+// dwarfs those few-ulp effects. Summed bounds additionally differ from the score's
 // left-to-right accumulation by fp re-association, which for NON-NEGATIVE
 // addends is bounded by ~T*eps relative; kSumSlack (1e-9) covers any
 // realistic term count. The pruned path refuses to run (falls back to
@@ -103,22 +103,19 @@ struct PaperScorer {
     return t.f_q * w * t.pidf;
   }
   double bound(const Term& t, const FlatTermMeta& meta) const {
-    double w_ub;
-    if (global == nullptr) {
-      // Exact max of the very weights contribution() computes (sealed
-      // against the same post-floor norms): no slack needed, but the
-      // uniform inflate_term keeps the driver simple.
-      w_ub = meta.max_weight;
-    } else {
-      // Context-independent norm lower bound: NU >= 1 - kNormPivotSlope
-      // = 0.25, a power of two, so 0.25 * log_tf_sum is an exact product
-      // and pre_floor_unit_norm(unit) >= 0.25 * min_log_tf_sum holds as
-      // a statement about doubles for every posting unit.
-      double norm_lb = (1.0 - kNormPivotSlope) * meta.min_log_tf_sum;
-      if (global->norm_floor > norm_lb) norm_lb = global->norm_floor;
-      if (norm_lb <= 0.0) return std::numeric_limits<double>::infinity();
-      w_ub = meta.max_log_tf_plus1 / norm_lb;
-    }
+    // Norm-free weight bound, one form for local and global statistics:
+    // NU >= 1 - kNormPivotSlope = 0.25, a power of two, so
+    // 0.25 * log_tf_sum is an exact product and pre_floor_unit_norm(unit)
+    // >= 0.25 * min_log_tf_sum holds as a statement about doubles for
+    // every posting unit, whatever the NU average; the applied floor
+    // lower-bounds every norm by construction. Neither input goes stale
+    // as units are appended, so the bound holds over base + tail alike.
+    double norm_floor =
+        global == nullptr ? index.norm_floor() : global->norm_floor;
+    double norm_lb = (1.0 - kNormPivotSlope) * meta.min_log_tf_sum;
+    if (norm_floor > norm_lb) norm_lb = norm_floor;
+    if (norm_lb <= 0.0) return std::numeric_limits<double>::infinity();
+    double w_ub = meta.max_log_tf_plus1 / norm_lb;
     return t.f_q * w_ub * t.pidf;
   }
   bool prunable(const FlatTermMeta& meta) const {
@@ -199,7 +196,7 @@ struct LmScorer {
   }
   double bound(const Term& t, const FlatTermMeta& meta) const {
     // max_tf_over_len is the exact fp max of the p_unit values
-    // contribution() computes (seal uses the same tf / max(len, 1e-9)
+    // contribution() computes (append folds the same tf / max(len, 1e-9)
     // expression); the chain through /, +, log is monotone up to libm's
     // sub-ulp log error, which kTermSlack absorbs.
     return t.f_q * std::log(1.0 + ((1.0 - lambda) * meta.max_tf_over_len) /
@@ -252,10 +249,10 @@ LmScorer make_scorer<LmScorer>(const InvertedIndex& index,
 
 // --- Exhaustive term-at-a-time driver ---------------------------------
 //
-// The historic scoring algorithm, now reading the sealed flat() serving
-// form (identical decoded postings in identical order, so identical
-// accumulation): every admitted term's full postings run folds into a
-// unit -> score map in query (TermId-ascending) order.
+// The historic scoring algorithm, now reading the flat() serving form —
+// sealed base, then tail: identical decoded postings in identical order,
+// so identical accumulation. Every admitted term's full postings run
+// folds into a unit -> score map in query (TermId-ascending) order.
 template <class Scorer>
 void accumulate_flat(const InvertedIndex& index, const TermVector& query,
                      const Scorer& scorer,

@@ -96,9 +96,10 @@ std::vector<ScoredUnit> score_units_counted(
 
 /// MaxScore-pruned replacement for the score → exclude → threshold →
 /// select pipeline of IntentionMatcher::match_cluster_terms. Scores
-/// `query` against `index`'s sealed flat postings document-at-a-time,
-/// skipping candidates whose per-term upper bounds (FlatTermMeta maxima,
-/// see flat_postings.h) prove they cannot enter the result:
+/// `query` against `index`'s flat postings (base + tail)
+/// document-at-a-time, skipping candidates whose per-term upper bounds
+/// (FlatTermMeta maxima, see flat_postings.h) prove they cannot enter the
+/// result:
 ///
 ///  * score_threshold <= 0 (top-n mode): returns the top `top_n` units
 ///    with positive score under (score desc, unit_doc[unit] asc) — the

@@ -19,6 +19,7 @@ enum class Stage : int {
   kIndexPublish,  ///< adding units to per-cluster indices (under the
                   ///  serving write lock on the ingest path)
   kTermWeight,    ///< InvertedIndex::finalize: Eq. 7/8 norm recomputation
+                  ///  plus the occasional postings tail fold
   kScore,         ///< score_units: Eq. 9 / BM25 / LM postings traversal
   kTopK,          ///< Algorithm 2 merge + final sort + truncate
 };

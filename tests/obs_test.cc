@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -285,6 +288,60 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
             std::string::npos);
   EXPECT_NE(text.find("ibseg_stage_seconds_count{stage=\"top-k\"}"),
             std::string::npos);
+}
+
+// The sharded facade reports ingest into the same series ServingPipeline
+// does: one ibseg_ingest_seconds observation per add_post / add_posts call
+// and one ibseg_wal_appends_total record per successful append — two per
+// post (publication journal, then the owner shard's WAL).
+TEST(ServingObservabilityTest, ShardedIngestFeedsIngestAndWalMetrics) {
+  std::vector<std::string> texts = {
+      "My laptop overheats when compiling. The fan spins loudly. "
+      "How can I improve the cooling? I already cleaned the vents.",
+      "The compiler crashes with an internal error on this file. "
+      "Has anyone seen this before? Which flags should I try?",
+      "My laptop fan is loud under load and the case gets hot. "
+      "What thermal paste do you recommend? Any cooling pad advice?",
+      "After the last update the build takes twice as long. "
+      "Is there a way to profile the build? Which step regressed?",
+  };
+  std::vector<Document> docs;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    docs.push_back(Document::analyze(static_cast<DocId>(i), texts[i]));
+  }
+  const std::string dir = ::testing::TempDir() + "/ibseg_obs_sharded_ingest";
+  std::filesystem::remove_all(dir);
+  ServingOptions options;
+  options.num_shards = 2;
+  options.persist.shard_dir = dir;
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(std::move(docs), {}, options);
+  ASSERT_NE(serving, nullptr);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Histogram& ingest = reg.histogram("ibseg_ingest_seconds", "");
+  obs::Counter& appends = reg.counter("ibseg_wal_appends_total", "");
+  obs::Counter& errors = reg.counter("ibseg_wal_errors_total", "");
+  const uint64_t ingest_before = ingest.count();
+  const uint64_t appends_before = appends.value();
+  const uint64_t errors_before = errors.value();
+
+  serving->add_post("Fan noise and overheating during long builds again.");
+  EXPECT_EQ(ingest.count(), ingest_before + 1);
+  EXPECT_EQ(appends.value(), appends_before + 2);
+  serving->add_posts({"Which cooling pad keeps a laptop quiet?",
+                      "The profiler shows the linker step regressed."});
+  EXPECT_EQ(ingest.count(), ingest_before + 2);
+  EXPECT_EQ(appends.value(), appends_before + 6);
+  EXPECT_EQ(errors.value(), errors_before);
+  EXPECT_EQ(serving->num_docs(), texts.size() + 3);
+
+  // Both new series render, alongside the postings fold counter.
+  std::string text = obs::render_text();
+  EXPECT_NE(text.find("ibseg_wal_errors_total"), std::string::npos);
+  EXPECT_NE(text.find("ibseg_postings_folds_total"), std::string::npos);
+  serving.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
