@@ -6,7 +6,7 @@
 #include <limits>
 #include <map>
 
-#include "util/thread_pool.h"
+#include "cluster/vp_tree.h"
 #include "util/vector_math.h"
 
 namespace ibseg {
@@ -76,18 +76,15 @@ IntentionClustering IntentionClustering::build(
     used_grid = true;
     // Grid search around the k-distance estimate: pick the eps whose
     // substantial-cluster count is closest to the target range; ties
-    // prefer less noise, then the smaller eps (deterministic regardless of
-    // the parallel evaluation order below).
-    double base = estimate_eps(feats, options.dbscan.min_pts);
-    std::vector<DbscanResult> candidates(options.eps_grid.size());
-    {
-      ThreadPool pool(std::min<size_t>(options.eps_grid.size(), 8));
-      pool.parallel_for(options.eps_grid.size(), [&](size_t i) {
-        DbscanParams params = options.dbscan;
-        params.eps = base * options.eps_grid[i];
-        candidates[i] = dbscan(feats, params);
-      });
-    }
+    // prefer less noise, then the earlier grid entry. One tree serves the
+    // estimate and the shared neighbourhood pass of every candidate.
+    VpTree tree(feats);
+    double base = estimate_eps(tree, options.dbscan.min_pts);
+    std::vector<double> eps_values;
+    eps_values.reserve(options.eps_grid.size());
+    for (double m : options.eps_grid) eps_values.push_back(base * m);
+    std::vector<DbscanResult> candidates =
+        dbscan_grid(tree, eps_values, options.dbscan.min_pts);
     bool have_best = false;
     int best_dist = 0;
     size_t best_noise = 0;

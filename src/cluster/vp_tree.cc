@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <queue>
 
 #include "util/vector_math.h"
 
 namespace ibseg {
+namespace {
+
+// Relative allowance for rounding in range-query pruning: far above the
+// error of a sum of squares over any realistic dimension count, far below
+// the spacing that would make pruning visit noticeably more nodes.
+constexpr double kRoundingSlack = 1e-9;
+
+}  // namespace
 
 VpTree::VpTree(const std::vector<std::vector<double>>& points)
     : points_(points) {
@@ -14,6 +23,19 @@ VpTree::VpTree(const std::vector<std::vector<double>>& points)
   for (size_t i = 0; i < items.size(); ++i) items[i] = i;
   nodes_.reserve(points.size());
   root_ = build(items, 0, items.size());
+  dims_ = points.empty() ? 0 : points[0].size();
+  coords_.reserve(nodes_.size() * dims_);
+  for (const Node& n : nodes_) {
+    assert(points[n.point].size() == dims_);
+    coords_.insert(coords_.end(), points[n.point].begin(),
+                   points[n.point].end());
+  }
+}
+
+double VpTree::node_distance(int node, const std::vector<double>& q) const {
+  assert(q.size() == dims_);
+  return euclidean_distance(
+      coords_.data() + static_cast<size_t>(node) * dims_, q.data(), dims_);
 }
 
 int VpTree::build(std::vector<size_t>& items, size_t begin, size_t end) {
@@ -43,19 +65,30 @@ int VpTree::build(std::vector<size_t>& items, size_t begin, size_t end) {
 }
 
 void VpTree::query_node(int node, const std::vector<double>& q, double eps,
-                        std::vector<size_t>* out) const {
+                        std::vector<size_t>* out,
+                        std::vector<double>* dists) const {
   if (node < 0) return;
   const Node& n = nodes_[node];
-  double d = euclidean_distance(points_[n.point], q);
-  if (d <= eps) out->push_back(n.point);
-  // Triangle-inequality pruning.
-  if (d - eps <= n.radius) query_node(n.inside, q, eps, out);
-  if (d + eps > n.radius) query_node(n.outside, q, eps, out);
+  double d = node_distance(node, q);
+  if (d <= eps) {
+    out->push_back(n.point);
+    if (dists != nullptr) dists->push_back(d);
+  }
+  // Triangle-inequality pruning. The inside child holds distances
+  // <= radius and the outside child distances >= radius (ties at the median
+  // fall on both sides), so the outside bound is inclusive. The slack
+  // covers the rounding of the three computed distances, which can break
+  // the triangle inequality by a few ulps on nearly collinear points; it
+  // only widens the search, never changes which points are reported.
+  double slack = kRoundingSlack * (d + std::fabs(eps) + n.radius);
+  if (d - eps <= n.radius + slack) query_node(n.inside, q, eps, out, dists);
+  if (d + eps >= n.radius - slack) query_node(n.outside, q, eps, out, dists);
 }
 
 void VpTree::range_query(const std::vector<double>& query, double eps,
-                         std::vector<size_t>* out) const {
-  query_node(root_, query, eps, out);
+                         std::vector<size_t>* out,
+                         std::vector<double>* dists) const {
+  query_node(root_, query, eps, out, dists);
 }
 
 double VpTree::kth_neighbor_distance(size_t index, size_t k) const {
@@ -70,7 +103,7 @@ double VpTree::kth_neighbor_distance(size_t index, size_t k) const {
     stack.pop_back();
     if (node < 0) continue;
     const Node& n = nodes_[node];
-    double d = euclidean_distance(points_[n.point], q);
+    double d = node_distance(node, q);
     if (n.point != index) {
       if (best.size() < k) {
         best.push(d);

@@ -17,12 +17,7 @@ double l2_norm(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 double euclidean_distance(const std::vector<double>& a,
                           const std::vector<double>& b) {
   assert(a.size() == b.size());
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s);
+  return euclidean_distance(a.data(), b.data(), a.size());
 }
 
 double manhattan_distance(const std::vector<double>& a,

@@ -1,6 +1,8 @@
 #ifndef IBSEG_UTIL_VECTOR_MATH_H_
 #define IBSEG_UTIL_VECTOR_MATH_H_
 
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 namespace ibseg {
@@ -17,6 +19,18 @@ double l2_norm(const std::vector<double>& v);
 /// Euclidean distance.
 double euclidean_distance(const std::vector<double>& a,
                           const std::vector<double>& b);
+
+/// Euclidean distance between two arrays of `n` coordinates. The vector
+/// overload computes exactly this (same operations, same order), so both
+/// return the same double.
+inline double euclidean_distance(const double* a, const double* b, size_t n) {
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double d = a[i] - b[i];
+    s += d * d;
+  }
+  return std::sqrt(s);
+}
 
 /// Manhattan (L1) distance.
 double manhattan_distance(const std::vector<double>& a,
