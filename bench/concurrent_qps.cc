@@ -1,14 +1,15 @@
 // Concurrent serving throughput: aggregate queries/sec against the
-// ServingPipeline at 1, 4 and 8 query threads while ingest writers
-// continuously publish new posts — the ingest-heavy serving scenario the
-// ROADMAP's "millions of users" north star implies. Queries run under the
-// serving layer's shared lock; writers prepare posts lock-free and take
-// the exclusive lock only to publish, so query throughput should scale
-// with reader count. Note the fairness tradeoff the rows make visible:
-// std::shared_mutex is reader-preferring on glibc, so under sustained
-// read pressure writers starve and the corpus barely grows, while a lone
-// reader leaves gaps that let writers balloon the corpus (the final-docs
-// column reports the corpus size each configuration ended at).
+// serving facade (ShardedServing, one shard) at 1, 4 and 8 query threads
+// while ingest writers continuously publish new posts — the ingest-heavy
+// serving scenario the ROADMAP's "millions of users" north star implies.
+// Queries run under the shard's shared lock; writers prepare posts
+// lock-free and take the exclusive lock only to publish, so query
+// throughput should scale with reader count. Note the fairness tradeoff
+// the rows make visible: std::shared_mutex is reader-preferring on glibc,
+// so under sustained read pressure writers starve and the corpus barely
+// grows, while a lone reader leaves gaps that let writers balloon the
+// corpus (the final-docs column reports the corpus size each
+// configuration ended at).
 //
 // Results print as a table and are recorded in BENCH_concurrent_qps.json
 // (written to the current working directory, like the reproduce.sh
@@ -20,12 +21,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/sync.h"
@@ -59,17 +61,17 @@ int window_ms() {
   return v > 0 ? v : 1500;
 }
 
-QpsRow run_config(const SyntheticCorpus& corpus,
-                  const PipelineSnapshot& snapshot, size_t query_threads,
+QpsRow run_config(const SyntheticCorpus& corpus, size_t query_threads,
                   size_t ingest_threads,
                   const std::vector<std::string>& ingest_texts,
                   const std::vector<Document>& externals) {
-  // Each configuration serves a fresh pipeline restored from the shared
-  // offline snapshot (segmentation + clustering are skipped, so per-config
-  // setup is just index construction).
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, {}));
-  const size_t num_docs = serving.seed_docs();
+  // Each configuration serves a fresh deployment over the same corpus (the
+  // offline phase is deterministic, so every configuration serves
+  // identical state).
+  std::unique_ptr<ShardedServing> owner =
+      ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *owner;
+  const size_t num_docs = serving.num_docs();
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries{0};
@@ -135,13 +137,6 @@ int main() {
   GeneratorOptions gen = eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
 
-  // One shared offline build; per-config pipelines restore from its
-  // snapshot so every configuration serves identical state.
-  PipelineOptions build_options;
-  RelatedPostPipeline offline =
-      RelatedPostPipeline::build(analyze_corpus(corpus), build_options);
-  PipelineSnapshot snapshot = offline.snapshot();
-
   GeneratorOptions ingest_gen =
       eval_profile(ForumDomain::kTechSupport, 64, /*seed=*/555);
   SyntheticCorpus ingest_corpus = generate_corpus(ingest_gen);
@@ -161,8 +156,8 @@ int main() {
   const size_t kIngestThreads = 2;
   std::vector<QpsRow> rows;
   for (size_t query_threads : {1u, 4u, 8u}) {
-    rows.push_back(run_config(corpus, snapshot, query_threads,
-                              kIngestThreads, ingest_texts, externals));
+    rows.push_back(run_config(corpus, query_threads, kIngestThreads,
+                              ingest_texts, externals));
   }
 
   TablePrinter table({"query threads", "ingest threads", "queries/sec",

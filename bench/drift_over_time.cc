@@ -42,11 +42,12 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "cluster/intention_clusters.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "eval/ndcg.h"
 #include "eval/precision.h"
 #include "seg/segmenter.h"
@@ -116,8 +117,9 @@ void centroid_stability(size_t posts) {
 
 // ------------------------------- Part 2: recluster recovery gate --------
 
-/// Binary meanPrec@k and graded mean nDCG@k of `serving` over every
-/// year-2 post as the query, judged against year-2 ground truth. Year-1
+/// Binary meanPrec@k and graded mean nDCG@k of `related` (query id ->
+/// ranked list) over every year-2 post as the query, judged against
+/// year-2 ground truth. Year-1
 /// documents are a different scenario population, so they grade 0 — a
 /// drifted pipeline that keeps ranking year-1 posts for year-2 queries
 /// loses on both metrics.
@@ -126,8 +128,9 @@ struct Quality {
   double mean_ndcg = 0.0;
 };
 
-Quality evaluate(const ServingPipeline& serving,
-                 const SyntheticCorpus& year2, size_t year1_docs) {
+template <typename Related>
+Quality evaluate(const Related& related, const SyntheticCorpus& year2,
+                 size_t year1_docs) {
   const size_t n2 = year2.posts.size();
   auto grade_of = [&](DocId q, DocId d) {
     if (d < year1_docs || d == q) return 0;
@@ -141,10 +144,10 @@ Quality evaluate(const ServingPipeline& serving,
   double ndcg_total = 0.0;
   for (size_t j = 0; j < n2; ++j) {
     DocId q = static_cast<DocId>(year1_docs + j);
-    auto result = serving.find_related(q, kTopK);
+    std::vector<ScoredDoc> result = related(q);
     std::vector<DocId> ids;
-    ids.reserve(result.results.size());
-    for (const ScoredDoc& sd : result.results) ids.push_back(sd.doc);
+    ids.reserve(result.size());
+    for (const ScoredDoc& sd : result) ids.push_back(sd.doc);
     precisions.push_back(list_precision(
         ids, [&](DocId d) { return grade_of(q, d) == 2; }));
     std::vector<int> ideal;
@@ -180,8 +183,12 @@ int recovery_gate(size_t year1_posts, size_t year2_posts) {
 
   // Drifted: year-1 offline build, year-2 arrives through streaming
   // nearest-centroid ingest (ids n1..n1+n2-1, the order add_post assigns).
-  ServingPipeline drifted(RelatedPostPipeline::build(analyze_corpus(year1)));
-  for (const GeneratedPost& p : year2.posts) drifted.add_post(p.text);
+  std::unique_ptr<ShardedServing> drifted =
+      ShardedServing::create(analyze_corpus(year1));
+  for (const GeneratedPost& p : year2.posts) drifted->add_post(p.text);
+  auto drifted_related = [&](DocId q) {
+    return drifted->find_related(q, kTopK).results;
+  };
 
   // Fresh: the cold two-year build the recluster is measured against,
   // with the year-2 documents at the very ids add_post handed out.
@@ -190,12 +197,13 @@ int recovery_gate(size_t year1_posts, size_t year2_posts) {
     combined.push_back(Document::analyze(static_cast<DocId>(n1 + j),
                                          year2.posts[j].text));
   }
-  ServingPipeline fresh(RelatedPostPipeline::build(std::move(combined)));
+  RelatedPostPipeline fresh = RelatedPostPipeline::build(std::move(combined));
 
-  const Quality q_drifted = evaluate(drifted, year2, n1);
-  const Quality q_fresh = evaluate(fresh, year2, n1);
-  drifted.recluster();
-  const Quality q_reclustered = evaluate(drifted, year2, n1);
+  const Quality q_drifted = evaluate(drifted_related, year2, n1);
+  const Quality q_fresh = evaluate(
+      [&](DocId q) { return fresh.find_related(q, kTopK); }, year2, n1);
+  drifted->recluster();
+  const Quality q_reclustered = evaluate(drifted_related, year2, n1);
 
   const double rec_prec = recovered_fraction(
       q_fresh.mean_prec, q_drifted.mean_prec, q_reclustered.mean_prec);
@@ -219,7 +227,7 @@ int recovery_gate(size_t year1_posts, size_t year2_posts) {
               " nDCG@5 %.3f (gate: >= %.2f)\n",
               rec_prec, rec_ndcg, kMinRecovery);
   std::printf("Offline generation after gate: %llu\n",
-              static_cast<unsigned long long>(drifted.offline_generation()));
+              static_cast<unsigned long long>(drifted->offline_generation()));
 
   if (rec_prec < kMinRecovery || rec_ndcg < kMinRecovery) {
     std::fprintf(stderr,

@@ -24,10 +24,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "datagen/adversarial.h"
 #include "eval/ndcg.h"
 #include "eval/precision.h"
@@ -130,9 +131,10 @@ GateRow run_profile(const AdversarialCorpus& adversarial) {
     offline.push_back(
         Document::analyze(static_cast<DocId>(i), corpus.posts[i].text));
   }
-  ServingPipeline serving(RelatedPostPipeline::build(std::move(offline)));
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(std::move(offline));
   for (size_t i = adversarial.offline_posts; i < corpus.posts.size(); ++i) {
-    serving.add_post(corpus.posts[i].text);
+    serving->add_post(corpus.posts[i].text);
   }
 
   std::vector<double> precisions;
@@ -146,7 +148,7 @@ GateRow run_profile(const AdversarialCorpus& adversarial) {
       if (corpus.posts[d].component_id == component) return 1;
       return 0;
     };
-    auto result = serving.find_related(q, 5);
+    auto result = serving->find_related(q, 5);
     std::vector<DocId> ids;
     ids.reserve(result.results.size());
     for (const ScoredDoc& sd : result.results) ids.push_back(sd.doc);

@@ -1,7 +1,7 @@
 // Observability overhead: proves the metrics layer is cheap enough to
 // leave on in production. Runs the concurrent_qps serving scenario (4
-// query threads + 2 continuous ingest writers over a snapshot-restored
-// pipeline) in interleaved windows with timing instrumentation enabled
+// query threads + 2 continuous ingest writers over a fresh one-shard
+// ShardedServing) in interleaved windows with timing instrumentation enabled
 // (obs::set_enabled(true)) and disabled, and reports the median-QPS
 // delta. The target is <2% regression — TraceScope costs two steady-clock
 // reads plus a short bucket scan and three relaxed atomic RMWs per
@@ -25,12 +25,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -62,16 +63,16 @@ struct WindowResult {
   double ingests_per_sec = 0.0;
 };
 
-WindowResult run_window(const SyntheticCorpus& corpus,
-                        const PipelineSnapshot& snapshot, bool metrics_on,
+WindowResult run_window(const SyntheticCorpus& corpus, bool metrics_on,
                         const std::vector<std::string>& ingest_texts,
                         const std::vector<Document>& externals) {
-  // A fresh snapshot-restored pipeline per window keeps corpus growth from
-  // earlier windows out of this one's query costs.
+  // A fresh deployment per window keeps corpus growth from earlier
+  // windows out of this one's query costs.
   obs::set_enabled(metrics_on);
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, {}));
-  const size_t num_docs = serving.seed_docs();
+  std::unique_ptr<ShardedServing> owner =
+      ShardedServing::create(analyze_corpus(corpus));
+  ShardedServing& serving = *owner;
+  const size_t num_docs = serving.num_docs();
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> queries{0};
@@ -140,10 +141,6 @@ int main() {
   GeneratorOptions gen = eval_profile(ForumDomain::kTechSupport, corpus_size);
   SyntheticCorpus corpus = generate_corpus(gen);
 
-  RelatedPostPipeline offline =
-      RelatedPostPipeline::build(analyze_corpus(corpus), {});
-  PipelineSnapshot snapshot = offline.snapshot();
-
   GeneratorOptions ingest_gen =
       eval_profile(ForumDomain::kTechSupport, 64, /*seed=*/555);
   SyntheticCorpus ingest_corpus = generate_corpus(ingest_gen);
@@ -164,7 +161,7 @@ int main() {
   std::vector<WindowResult> windows;
   for (bool metrics_on : kSchedule) {
     windows.push_back(
-        run_window(corpus, snapshot, metrics_on, ingest_texts, externals));
+        run_window(corpus, metrics_on, ingest_texts, externals));
   }
 
   std::vector<double> qps_off, qps_on;

@@ -1,17 +1,21 @@
 // Persistence cost and warm-restart payoff: what a deployment pays for
 // crash safety (snapshot save time, WAL append overhead on the ingest
-// path) and what it gets back at startup (restore-from-snapshot versus a
-// cold offline rebuild of the same corpus). Three measurements:
+// path) and what it gets back at startup (restore from a state directory
+// versus a cold offline rebuild of the same corpus). Three measurements,
+// all on a one-shard ShardedServing:
 //
-//   1. cold build   — RelatedPostPipeline::build over the corpus (the
+//   1. cold build   — ShardedServing::create over the corpus (the
 //                     segmentation + clustering + indexing a restart
 //                     without persistence repeats every time),
-//   2. save         — ServingPipeline::save to a snapshot v2 file,
-//   3. warm restore — ServingPipeline::restore from that file, including
-//                     WAL replay of a tail of post-snapshot ingests.
+//   2. save         — ShardedServing::save to a state directory (shard
+//                     snapshot v2 + manifest),
+//   3. warm restore — ShardedServing::restore from that directory,
+//                     including replay of a tail of post-save ingests from
+//                     the publication journal and the shard WAL.
 //
-// Also reported: ingest latency with the WAL off / fsync=none /
-// fsync=every-append, isolating the durability tax on add_post.
+// Also reported: ingest latency with the logs off / fsync=none /
+// fsync=every-append, isolating the durability tax on add_post (each
+// ingest appends twice: journal, then the owner shard's WAL).
 //
 // Results print as a table and are recorded in BENCH_persist_restore.json
 // (current working directory, like the other reproduce.sh outputs).
@@ -19,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -26,8 +31,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
-#include "storage/snapshot_v2.h"
+#include "core/sharded_serving.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -40,22 +44,24 @@ std::string fmt(double v, int precision) {
   return buf;
 }
 
-std::string tmp_file(const char* name) {
+std::string tmp_dir(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   std::string path = (dir != nullptr && *dir != '\0') ? dir : "/tmp";
   path += "/ibseg_bench_";
   path += name;
+  std::filesystem::remove_all(path);
   return path;
 }
 
-/// Mean add_post latency (seconds) over `texts` for one WAL config.
+/// Mean add_post latency (seconds) over `texts` for one log config.
 double ingest_latency(const SyntheticCorpus& corpus,
                       const std::vector<std::string>& texts,
                       const ServingOptions& options) {
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(analyze_corpus(corpus), {}, options);
+  if (serving == nullptr) return 0.0;
   Stopwatch watch;
-  for (const std::string& text : texts) serving.add_post(text);
+  for (const std::string& text : texts) serving->add_post(text);
   return texts.empty() ? 0.0
                        : watch.elapsed_seconds() /
                              static_cast<double>(texts.size());
@@ -75,65 +81,60 @@ int run() {
   std::vector<std::string> tail_texts;
   for (const GeneratedPost& p : extra.posts) tail_texts.push_back(p.text);
 
-  const std::string snap_path = tmp_file("persist.snap");
-  const std::string wal_path = tmp_file("persist.wal");
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  const std::string state_dir = tmp_dir("persist.state");
 
   // 1. Cold build (what every restart costs without persistence).
   Stopwatch cold_watch;
-  auto serving = std::make_unique<ServingPipeline>(
-      RelatedPostPipeline::build(analyze_corpus(corpus)));
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(analyze_corpus(corpus));
   const double cold_build_sec = cold_watch.elapsed_seconds();
 
   // 2. Save.
   Stopwatch save_watch;
-  if (!serving->save(snap_path)) {
-    std::fprintf(stderr, "error: snapshot save failed\n");
+  if (serving == nullptr || !serving->save(state_dir)) {
+    std::fprintf(stderr, "error: state save failed\n");
     return 1;
   }
   const double save_sec = save_watch.elapsed_seconds();
   uint64_t snapshot_bytes = 0;
   {
-    std::ifstream is(snap_path, std::ios::binary | std::ios::ate);
+    std::ifstream is(state_dir + "/shard-0/snapshot.v2",
+                     std::ios::binary | std::ios::ate);
     snapshot_bytes = is ? static_cast<uint64_t>(is.tellg()) : 0;
   }
   serving.reset();
 
-  // 3. Warm restore, with a WAL tail to replay on top of the snapshot.
+  // 3. Warm restore, with a log tail to replay on top of the snapshot.
   {
-    ServingOptions wal_options;
-    wal_options.persist.wal_path = wal_path;
-    auto writer = ServingPipeline::restore(snap_path, {}, wal_options);
+    auto writer = ShardedServing::restore(state_dir);
     if (writer == nullptr) {
-      std::fprintf(stderr, "error: restore (WAL writer) failed\n");
+      std::fprintf(stderr, "error: restore (log writer) failed\n");
       return 1;
     }
     for (const std::string& text : tail_texts) writer->add_post(text);
   }
-  ServingOptions wal_options;
-  wal_options.persist.wal_path = wal_path;
   Stopwatch restore_watch;
-  auto restored = ServingPipeline::restore(snap_path, {}, wal_options);
+  auto restored = ShardedServing::restore(state_dir);
   const double restore_sec = restore_watch.elapsed_seconds();
   if (restored == nullptr || restored->epoch() != wal_tail) {
     std::fprintf(stderr, "error: warm restore failed\n");
     return 1;
   }
+  restored.reset();
 
   // 4. Durability tax on the ingest path.
   ServingOptions no_wal;
   ServingOptions wal_nosync;
-  wal_nosync.persist.wal_path = wal_path + ".nosync";
+  wal_nosync.persist.shard_dir = tmp_dir("persist.nosync");
   wal_nosync.persist.wal.fsync = WalFsync::kNone;
   ServingOptions wal_sync;
-  wal_sync.persist.wal_path = wal_path + ".sync";
+  wal_sync.persist.shard_dir = tmp_dir("persist.sync");
   wal_sync.persist.wal.fsync = WalFsync::kEveryAppend;
   const double ingest_off = ingest_latency(corpus, tail_texts, no_wal);
   const double ingest_nosync = ingest_latency(corpus, tail_texts, wal_nosync);
   const double ingest_sync = ingest_latency(corpus, tail_texts, wal_sync);
-  std::remove((wal_path + ".nosync").c_str());
-  std::remove((wal_path + ".sync").c_str());
+  std::filesystem::remove_all(wal_nosync.persist.shard_dir);
+  std::filesystem::remove_all(wal_sync.persist.shard_dir);
 
   const double speedup =
       restore_sec > 0.0 ? cold_build_sec / restore_sec : 0.0;
@@ -146,7 +147,7 @@ int run() {
                  std::to_string(static_cast<unsigned long long>(
                      snapshot_bytes))});
   table.add_row({"warm restore (s), " + std::to_string(wal_tail) +
-                     " WAL records",
+                     " logged ingests",
                  fmt(restore_sec, 3)});
   table.add_row({"restore speedup vs cold", fmt(speedup, 2)});
   table.add_row({"add_post, no WAL (ms)", fmt(ingest_off * 1e3, 3)});
@@ -174,8 +175,7 @@ int run() {
     std::fclose(out);
     std::printf("wrote BENCH_persist_restore.json\n");
   }
-  std::remove(snap_path.c_str());
-  std::remove(wal_path.c_str());
+  std::filesystem::remove_all(state_dir);
   return 0;
 }
 

@@ -1,5 +1,5 @@
 // MaxScore pruning throughput: queries/sec through
-// ServingPipeline::find_related_batch with the pruned per-intention path
+// IntentionMatcher::find_related_batch with the pruned per-intention path
 // (the default) against the exhaustive score-then-select fallback
 // (MatcherOptions::exhaustive_fallback), at 1 and 4 matcher query
 // threads, result cache OFF — every query does real scoring work, so the
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/pipeline.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -62,10 +62,10 @@ QpsRow run_config(const SyntheticCorpus& corpus,
   PipelineOptions build_options;
   build_options.matcher.query_threads = query_threads;
   build_options.matcher.exhaustive_fallback = !pruned;
-  // Cache off: ServingOptions default capacity 0 — every query scores.
-  ServingPipeline serving(RelatedPostPipeline::build_from_snapshot(
-      analyze_corpus(corpus), snapshot, build_options));
-  const size_t num_docs = serving.seed_docs();
+  // No result cache at this layer — every query scores.
+  RelatedPostPipeline pipeline = RelatedPostPipeline::build_from_snapshot(
+      analyze_corpus(corpus), snapshot, build_options);
+  const size_t num_docs = pipeline.docs().size();
 
   // Uniform query stream, deterministic per config (same seed), so every
   // row answers the same queries.
@@ -78,7 +78,7 @@ QpsRow run_config(const SyntheticCorpus& corpus,
     for (DocId& q : batch) {
       q = static_cast<DocId>(rng.next_below(num_docs));
     }
-    serving.find_related_batch(batch, kTopK);
+    pipeline.matcher().find_related_batch(batch, kTopK);
     queries += kBatchSize;
   }
   double elapsed = watch.elapsed_seconds();
@@ -88,7 +88,7 @@ QpsRow run_config(const SyntheticCorpus& corpus,
   row.pruned = pruned;
   row.queries = queries;
   row.qps = static_cast<double>(queries) / elapsed;
-  const QueryWorkCounters& work = serving.quiescent().matcher().work_counters();
+  const QueryWorkCounters& work = pipeline.matcher().work_counters();
   row.units_scored = work.units_scored.load(std::memory_order_relaxed);
   row.units_pruned = work.units_pruned.load(std::memory_order_relaxed);
   return row;

@@ -1,6 +1,7 @@
 // Operational cost of one background re-clustering epoch
-// (docs/ARCHITECTURE.md §9): what a deployment pays to run recluster()
-// and what happens to reads while it runs. Three measurements:
+// (docs/ARCHITECTURE.md §9): what a one-shard ShardedServing deployment
+// pays to run recluster() and what happens to reads while it runs. Three
+// measurements:
 //
 //   1. recluster latency — wall time of one recluster() over a seed
 //      corpus plus a streamed ingest tail (capture + shadow offline
@@ -10,9 +11,11 @@
 //      ingest pools, making the drain fully visible),
 //   3. QPS dip during swap — find_related throughput from a concurrent
 //      reader thread while recluster() runs on the main thread, versus
-//      the same reader loop quiescent. Readers keep serving the old
-//      generation for the whole shadow build; only the final swap takes
-//      the exclusive lock, so the dip should be modest.
+//      the same reader loop quiescent. The reader counts every completed
+//      query, so the figure is not quantized to whole passes. Readers
+//      keep serving the old generation for the whole shadow build; only
+//      the final swap takes the exclusive lock, so the dip should be
+//      modest.
 //
 // Results print as a table and are recorded in BENCH_recluster.json
 // (current working directory, like the other reproduce.sh outputs, which
@@ -21,12 +24,13 @@
 #include <atomic>
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -40,10 +44,15 @@ std::string fmt(double v, int precision) {
 }
 
 /// One pass of the reader loop: top-5 queries round-robin over the
-/// corpus. Returns the number of queries issued.
-uint64_t reader_pass(const ServingPipeline& serving, size_t num_docs) {
+/// corpus, each completed query added to `completed` when given. Returns
+/// the number of queries issued.
+uint64_t reader_pass(const ShardedServing& serving, size_t num_docs,
+                     std::atomic<uint64_t>* completed = nullptr) {
   for (size_t q = 0; q < num_docs; ++q) {
     serving.find_related(static_cast<DocId>(q), 5);
+    if (completed != nullptr) {
+      completed->fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return num_docs;
 }
@@ -62,8 +71,9 @@ int run() {
   // Pool every ingest: the drain measurement wants a full pool, and the
   // differential suite proves pooling never changes results.
   options.recluster.pending_distance_threshold = 0.0;
-  ServingPipeline serving(RelatedPostPipeline::build(analyze_corpus(corpus)),
-                          options);
+  std::unique_ptr<ShardedServing> owner =
+      ShardedServing::create(analyze_corpus(corpus), {}, options);
+  ShardedServing& serving = *owner;
   for (const GeneratedPost& p : extra.posts) serving.add_post(p.text);
 
   const size_t num_docs = serving.num_docs();
@@ -87,8 +97,7 @@ int run() {
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      reader_pass(serving, num_docs);
-      reader_queries.fetch_add(num_docs, std::memory_order_relaxed);
+      reader_pass(serving, num_docs, &reader_queries);
     }
   });
   const uint64_t before_swap = reader_queries.load();

@@ -47,7 +47,7 @@ struct PipelineOptions {
 /// the indices — the expensive, state-free half of add_post. Preparing is
 /// safe to run on any thread without synchronization; publishing
 /// (RelatedPostPipeline::ingest) mutates the pipeline and is not.
-/// ServingPipeline uses this split to keep analysis outside its write lock.
+/// The serving layer uses this split to keep analysis outside its locks.
 struct PreparedPost {
   Document doc;
   Segmentation seg;
@@ -60,8 +60,9 @@ struct PreparedPost {
 /// Thread-safety: all query methods (find_related, find_related_external,
 /// the getters) are strictly read-only; any number of threads may call
 /// them concurrently as long as no mutation (add_post / ingest) runs.
-/// Mutations require exclusive access — ServingPipeline (core/serving.h)
-/// provides the reader/writer layer that enforces this at runtime.
+/// Mutations require exclusive access — each ShardedServing shard
+/// (ServingPipeline, core/serving.h) provides the reader/writer layer that
+/// enforces this at runtime.
 class RelatedPostPipeline {
  public:
   /// Builds the pipeline over `docs` (moved in).

@@ -31,7 +31,7 @@ std::string shard_snapshot_path(const std::string& dir, uint32_t s,
   if (gen == 0) return shard_subdir(dir, s) + "/snapshot.v2";
   return shard_subdir(dir, s) + "/snapshot.g" + std::to_string(gen) + ".v2";
 }
-std::string shard_wal_path(const std::string& dir, uint32_t s) {
+std::string shard_wal_file(const std::string& dir, uint32_t s) {
   return shard_subdir(dir, s) + "/wal";
 }
 std::string journal_path(const std::string& dir) {
@@ -73,6 +73,41 @@ bool by_score_then_doc(const ScoredDoc& a, const ScoredDoc& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.doc < b.doc;
 }
+
+/// The process-wide serving instruments (no tenant label): series that
+/// sum meaningfully across instances, registered once.
+struct ServingMetrics {
+  obs::Counter& posts_ingested;
+  obs::Counter& ingest_batches;
+  obs::Counter& wal_replayed;
+  obs::Histogram& save_seconds;
+  obs::Histogram& restore_seconds;
+
+  static ServingMetrics& get() {
+    static ServingMetrics* m = [] {
+      obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+      return new ServingMetrics{
+          r.counter("ibseg_ingested_posts_total",
+                    "Posts published into the serving indices."),
+          r.counter("ibseg_ingest_batches_total",
+                    "add_posts batches published (each under one "
+                    "publication-lock acquisition)."),
+          r.counter("ibseg_wal_replayed_records",
+                    "WAL records re-published during warm restart (torn or "
+                    "already-snapshotted records excluded)."),
+          r.histogram("ibseg_persist_seconds",
+                      "State-directory save / warm-restore latency, in "
+                      "seconds.",
+                      {{"op", "save"}}),
+          r.histogram("ibseg_persist_seconds",
+                      "State-directory save / warm-restore latency, in "
+                      "seconds.",
+                      {{"op", "restore"}}),
+      };
+    }();
+    return *m;
+  }
+};
 
 }  // namespace
 
@@ -204,13 +239,10 @@ ShardedServing::ShardSet ShardedServing::build_shard_set(
     RelatedPostPipeline p = RelatedPostPipeline::build_shard(
         std::move(shard_docs[s]), snap, set.vocab, set.centroids,
         pipeline_options);
-    if (shard_states != nullptr) {
-      set.shards.push_back(ServingPipeline::adopt(
-          std::move(p), shard_options, (*shard_states)[s]));
-    } else {
-      set.shards.push_back(
-          std::make_unique<ServingPipeline>(std::move(p), shard_options));
-    }
+    set.shards.push_back(ServingPipeline::adopt(
+        std::move(p), shard_options,
+        shard_states != nullptr ? (*shard_states)[s]
+                                : ServingPipeline::RestoreState{}));
     set.shards.back()->set_stats_sink(set.stats.get());
   }
   return set;
@@ -253,7 +285,52 @@ bool ShardedServing::init_shards(
   // without it two coexisting instances would share one ibseg_shard_docs
   // gauge and clobber each other's values.
   obs::MetricsRegistry& r = obs::MetricsRegistry::global();
+  ServingMetrics::get();
   obs::Labels tenant_only{{"tenant", tenant_label_}};
+  auto op = [&](const char* name) {
+    return obs::Labels{{"op", name}, {"tenant", tenant_label_}};
+  };
+  queries_related_ = &r.counter("ibseg_queries_total", "Queries served.",
+                                op("find_related"));
+  queries_external_ = &r.counter("ibseg_queries_total", "Queries served.",
+                                 op("find_related_external"));
+  related_seconds_ = &r.histogram(
+      "ibseg_query_seconds",
+      "End-to-end serving query latency, including lock wait, in seconds.",
+      op("find_related"));
+  external_seconds_ = &r.histogram(
+      "ibseg_query_seconds",
+      "End-to-end serving query latency, including lock wait, in seconds.",
+      op("find_related_external"));
+  pruned_docs_ = &r.counter(
+      "ibseg_pruned_docs_total",
+      "Per-intention candidate units rejected by the MaxScore upper-bound "
+      "test — before their first contribution or mid-accumulation — "
+      "instead of being fully scored.",
+      tenant_only);
+  corpus_docs_ = &r.gauge("ibseg_corpus_docs",
+                          "Documents in the serving corpus (seed + "
+                          "published), across all shards.",
+                          tenant_only);
+  index_segments_ = &r.gauge(
+      "ibseg_index_segments",
+      "Segments indexed across all intention clusters and shards.",
+      tenant_only);
+  postings_bytes_ = &r.gauge(
+      "ibseg_postings_bytes",
+      "Bytes of the flat postings (sealed arenas, tails and per-term "
+      "metadata) across all intention clusters and shards.",
+      tenant_only);
+  pending_pool_ = &r.gauge(
+      "ibseg_pending_pool_size",
+      "Ingested documents currently in the outlier/pending pool "
+      "(assignment distance above the serving threshold); drained at the "
+      "next recluster.",
+      tenant_only);
+  snapshot_bytes_ = &r.gauge(
+      "ibseg_snapshot_bytes",
+      "Encoded size of the most recent save's shard snapshots, summed.",
+      tenant_only);
   scatter_seconds_ = &r.histogram(
       "ibseg_scatter_seconds",
       "Scatter-phase latency of a sharded query (all shard legs), in "
@@ -275,7 +352,26 @@ bool ShardedServing::init_shards(
         "ibseg_shard_docs", "Documents resident on this shard.", labels));
     shard_docs_.back()->set(static_cast<double>(shards_[s]->num_docs()));
   }
+  publish_gauges_locked();
   return true;
+}
+
+void ShardedServing::publish_gauges_locked() {
+  // Every resident document is a seed document or a publication. (During
+  // restore both orders are filled in after init_shards; the replay's
+  // publications republish the gauges.)
+  corpus_docs_->set(
+      static_cast<double>(seed_order_.size() + publication_order_.size()));
+  size_t segments = 0, bytes = 0, pending = 0;
+  for (const auto& shard : shards_) {
+    const IntentionMatcher& matcher = shard->quiescent().matcher();
+    segments += matcher.num_segments();
+    bytes += matcher.postings_bytes();
+    pending += shard->pending_pool_size();
+  }
+  index_segments_->set(static_cast<double>(segments));
+  postings_bytes_->set(static_cast<double>(bytes));
+  pending_pool_->set(static_cast<double>(pending));
 }
 
 bool ShardedServing::open_persistence(bool fresh) {
@@ -295,7 +391,7 @@ bool ShardedServing::open_persistence(bool fresh) {
   for (uint32_t s = 0; s < num_shards(); ++s) {
     discard.clear();
     std::unique_ptr<IngestWal> wal = IngestWal::open(
-        shard_wal_path(persist_dir_, s), wal_options_, &discard);
+        shard_wal_file(persist_dir_, s), wal_options_, &discard);
     if (wal == nullptr) return false;
     if (fresh && !discard.empty() && !wal->reset()) return false;
     wals_.push_back(std::move(wal));
@@ -427,16 +523,21 @@ ShardedServing::QueryResult ShardedServing::scatter_gather(
   if (r.results.size() > static_cast<size_t>(k)) {
     r.results.resize(static_cast<size_t>(k));
   }
+  uint64_t pruned = 0;
   for (uint32_t s = 0; s < ns; ++s) {
     r.epoch += legs[s].epoch;
     r.num_docs += legs[s].num_docs;
+    pruned += legs[s].pruned;
   }
+  if (pruned > 0) pruned_docs_->inc(pruned);
   merge_seconds_->observe(merge_watch.elapsed_seconds());
   return r;
 }
 
 ShardedServing::QueryResult ShardedServing::find_related(DocId query,
                                                          int k) const {
+  obs::TraceScope latency(*related_seconds_);
+  queries_related_->inc();
   // One generation end to end: held shared across lookup, scatter and
   // insert, so a recluster swap (which needs this lock exclusively) can
   // never replace the shard set, statistics board or vocabulary
@@ -482,6 +583,8 @@ std::vector<ShardedServing::QueryResult> ShardedServing::find_related_batch(
 
 ShardedServing::QueryResult ShardedServing::find_related_external(
     const Document& doc, int k) const {
+  obs::TraceScope latency(*external_seconds_);
+  queries_external_->inc();
   Vocabulary scratch;
   Segmentation seg = segmenter_.segment(doc, scratch);
   // Generation pin (see find_related); taken after the lock-free
@@ -524,7 +627,7 @@ void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
     // the index publish — so on replay a journal entry without WAL data
     // means "never published" and is skipped, never guessed at.
     // Failures are counted, not refused: the post is still published
-    // (acknowledgement semantics are the same as ServingPipeline's).
+    // (availability wins; ibseg_wal_errors_total flags the risk).
     IngestMetrics& im = IngestMetrics::get();
     im.count_wal(journal_->append(WalRecord{id, std::string()}));
     im.count_wal(wals_[owner]->append(WalRecord{id, text}));
@@ -533,6 +636,8 @@ void ShardedServing::publish_locked(uint32_t owner, PreparedPost post,
   shards_[owner]->publish_prepared(std::move(post));
   publication_order_.push_back(id);
   shard_docs_[owner]->set(static_cast<double>(shards_[owner]->num_docs()));
+  if (log) ServingMetrics::get().posts_ingested.inc();
+  publish_gauges_locked();
 }
 
 DocId ShardedServing::add_post(std::string text) {
@@ -560,12 +665,18 @@ std::vector<DocId> ShardedServing::add_posts(std::vector<std::string> texts) {
     if (journal_ != nullptr) logged.push_back(text);
     prepared.push_back(prepare(id, std::move(text)));
   }
+  // Queries hold the generation lock shared across their whole scatter, so
+  // holding it exclusively here makes the batch visible all at once, on
+  // every shard (docs/PROTOCOL.md §4.5). Same lock order as the recluster
+  // swap: generation lock, then publication lock.
+  std::unique_lock<std::shared_mutex> gen_lock(recluster_mu_);
   std::unique_lock<std::shared_mutex> lock(publish_mu_);
   for (size_t i = 0; i < prepared.size(); ++i) {
     publish_locked(shard_of(ids[i], num_shards()), std::move(prepared[i]),
                    /*log=*/true,
                    journal_ != nullptr ? logged[i] : std::string());
   }
+  if (!ids.empty()) ServingMetrics::get().ingest_batches.inc();
   return ids;
 }
 
@@ -671,6 +782,7 @@ uint64_t ShardedServing::recluster() {
     for (uint32_t s = 0; s < ns; ++s) {
       shard_docs_[s]->set(static_cast<double>(shards_[s]->num_docs()));
     }
+    publish_gauges_locked();
   }
   obs::Labels tenant_only{{"tenant", tenant_label_}};
   reg.counter("ibseg_recluster_total",
@@ -697,6 +809,7 @@ uint64_t ShardedServing::recluster() {
 }
 
 bool ShardedServing::save(const std::string& dir) {
+  Stopwatch watch;
   std::unique_lock<std::shared_mutex> lock(publish_mu_);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -707,10 +820,15 @@ bool ShardedServing::save(const std::string& dir) {
   // — a crash anywhere in this function leaves the old manifest pointing
   // at old-generation files that are still intact.
   const uint64_t gen = generation_.load(std::memory_order_relaxed);
+  uint64_t snapshot_bytes = 0;
   for (uint32_t s = 0; s < num_shards(); ++s) {
     std::filesystem::create_directories(shard_subdir(dir, s), ec);
     if (ec) return false;
-    if (!shards_[s]->save(shard_snapshot_path(dir, s, gen))) return false;
+    uint64_t bytes = 0;
+    if (!shards_[s]->save(shard_snapshot_path(dir, s, gen), &bytes)) {
+      return false;
+    }
+    snapshot_bytes += bytes;
   }
   ShardManifest m;
   m.num_shards = num_shards();
@@ -767,12 +885,15 @@ bool ShardedServing::save(const std::string& dir) {
       }
     }
   }
+  snapshot_bytes_->set(static_cast<double>(snapshot_bytes));
+  ServingMetrics::get().save_seconds.observe(watch.elapsed_seconds());
   return true;
 }
 
 std::unique_ptr<ShardedServing> ShardedServing::restore(
     const std::string& dir, const PipelineOptions& pipeline_options,
     ServingOptions options) {
+  Stopwatch watch;
   std::optional<ShardManifest> m =
       load_shard_manifest_file(dir + "/MANIFEST");
   if (!m.has_value()) return nullptr;
@@ -863,7 +984,8 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   // GLOBAL centroids — shards score with overridden global centroids, so
   // any one copy is authoritative). Until the first recluster this
   // reproduces the label-derived recomputation; after one it is the only
-  // correct source (see ServingPipeline::restore).
+  // correct source: the recluster's centroids cannot be re-derived from
+  // labels over a corpus that has grown since.
   if (!snaps[0].centroids.empty() &&
       static_cast<int>(snaps[0].centroids.size()) ==
           clustering.num_clusters()) {
@@ -928,7 +1050,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   for (uint32_t s = 0; s < ns; ++s) {
     std::vector<WalRecord> recs;
     std::unique_ptr<IngestWal> wal =
-        IngestWal::open(shard_wal_path(dir, s), sp->wal_options_, &recs);
+        IngestWal::open(shard_wal_file(dir, s), sp->wal_options_, &recs);
     if (wal == nullptr) return nullptr;
     for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
     sp->wals_.push_back(std::move(wal));
@@ -956,6 +1078,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   // ingest, so the replayed tail contains exactly the pool the save saw
   // plus whatever journal-tail survivors joined it.
   DocId watermark = m->next_id;
+  uint64_t wal_replayed = 0;
   std::unordered_set<DocId> published(offline_order.begin(),
                                       offline_order.end());
   auto replay_one = [&](DocId id) -> int {
@@ -972,6 +1095,7 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
       post.doc = Document::analyze(id, std::move(walled->second));
       Vocabulary scratch;
       post.seg = sp->segmenter_.segment(post.doc, scratch);
+      ++wal_replayed;
     }
     sp->publish_locked(s, std::move(post), /*log=*/false, std::string());
     published.insert(id);
@@ -987,6 +1111,10 @@ std::unique_ptr<ShardedServing> ShardedServing::restore(
   }
   DocId seen = sp->next_id_.load(std::memory_order_relaxed);
   sp->next_id_.store(std::max(seen, watermark), std::memory_order_relaxed);
+  sp->publish_gauges_locked();
+  ServingMetrics& sm = ServingMetrics::get();
+  sm.wal_replayed.inc(wal_replayed);
+  sm.restore_seconds.observe(watch.elapsed_seconds());
   return sp;
 }
 
@@ -1123,7 +1251,7 @@ bool ShardedServing::catch_up_from_dir(const std::string& leader_dir) {
   std::vector<std::unordered_map<DocId, std::string>> wal_text(ns);
   for (uint32_t s = 0; s < ns; ++s) {
     std::vector<WalRecord> recs;
-    read_tail(shard_wal_path(leader_dir, s), &recs);
+    read_tail(shard_wal_file(leader_dir, s), &recs);
     for (WalRecord& rec : recs) wal_text[s][rec.id] = std::move(rec.text);
   }
 

@@ -17,21 +17,24 @@
 #include "util/thread_pool.h"
 
 /// \file
-/// ShardedServing: N ServingPipeline shards behind hash partitioning and
-/// scatter-gather, bit-identical to the unsharded pipeline at any shard
-/// count, with per-shard crash-safe persistence (docs/ARCHITECTURE.md
-/// §6). The network front-end (net/server.h) dispatches into this class.
+/// ShardedServing: the serving facade — N ServingPipeline shards (N >= 1)
+/// behind hash partitioning and scatter-gather, bit-identical to the
+/// unpartitioned RelatedPostPipeline at any shard count, with per-shard
+/// crash-safe persistence (docs/ARCHITECTURE.md §3, §6). The network
+/// front-end (net/server.h), the tenant registry and replication all
+/// dispatch into this class.
 
 namespace ibseg {
 
 /// Document-partitioned serving: N ServingPipeline shards behind one
 /// scatter-gather facade, with results **bit-identical** to a single
-/// unpartitioned pipeline at any shard count (the differential suite
-/// enforces exact score-and-order equality, not approximate agreement).
+/// unpartitioned RelatedPostPipeline at any shard count, 1 included (the
+/// differential suite enforces exact score-and-order equality, not
+/// approximate agreement).
 ///
 /// Partitioning. Every document — seed or ingested — lives on exactly one
 /// shard, `shard_of(id)` (a stable FNV-1a hash of the id; pure function,
-/// identical across processes and runs). Each shard wraps a full
+/// identical across processes and runs). Each shard is a
 /// ServingPipeline over its slice: its own reader/writer lock, epoch, and
 /// per-intention indices.
 ///
@@ -70,7 +73,7 @@ namespace ibseg {
 /// identical sorted sequences, reproducing the unpartitioned accumulation
 /// order exactly.
 ///
-/// Caching. The PR-3 epoch-invalidated result cache sits above the
+/// Caching. The epoch-invalidated result cache sits above the
 /// scatter layer, keyed on the *combined* epoch (the sum of per-shard
 /// epochs — each publication bumps exactly one shard by one, so the sum
 /// is monotone and equality implies every addend is unchanged). An entry
@@ -78,8 +81,9 @@ namespace ibseg {
 /// reproduce a quiescent-cut answer.
 ///
 /// Consistency. Each shard's answer is a consistent cut of that shard;
-/// under concurrent ingest the combined answer may straddle publications
-/// on different shards (per-shard, not global, snapshot isolation). The
+/// under concurrent ingest the combined answer may straddle add_post
+/// publications on different shards (per-shard, not global, snapshot
+/// isolation); an add_posts batch is all-or-nothing everywhere. The
 /// invariant num_docs == seed_docs + epoch holds for the summed values of
 /// every result. At quiescence (no in-flight ingests) every query is
 /// bit-identical to the unpartitioned pipeline.
@@ -135,7 +139,15 @@ class ShardedServing {
   /// manifest intact on any failure.
   bool save(const std::string& dir);
 
-  using QueryResult = ServingPipeline::QueryResult;
+  /// A query answer plus the snapshot coordinates it was computed under.
+  struct QueryResult {
+    std::vector<ScoredDoc> results;
+    /// Documents published since the seed corpus, summed over the shards'
+    /// epochs observed under their shared locks.
+    uint64_t epoch = 0;
+    /// Corpus size at the same moment; always seed docs + epoch.
+    size_t num_docs = 0;
+  };
 
   /// Top-k related posts for an in-corpus reference post — Algorithm 2
   /// over all shards, bit-identical to the unpartitioned pipeline.
@@ -143,7 +155,8 @@ class ShardedServing {
   /// shards' shared locks.
   QueryResult find_related(DocId query, int k) const;
 
-  /// Batched find_related; result[i] answers queries[i].
+  /// Batched find_related; result[i] answers queries[i] (each counts as
+  /// one find_related query in the metrics).
   std::vector<QueryResult> find_related_batch(const std::vector<DocId>& queries,
                                               int k) const;
 
@@ -159,12 +172,14 @@ class ShardedServing {
   DocId add_post(std::string text);
 
   /// Batched ingestion, published in order under one global-lock section.
+  /// Queries observe none or all of the batch, across every shard: the
+  /// section also holds the generation lock exclusively, which every
+  /// query holds shared for its whole scatter.
   std::vector<DocId> add_posts(std::vector<std::string> texts);
 
   /// One background re-clustering epoch across the whole deployment,
   /// synchronous on the calling thread (core/recluster.h provides the
-  /// worker that makes it background). Mirrors
-  /// ServingPipeline::recluster at deployment scale: capture a consistent
+  /// worker that makes it background): capture a consistent
   /// global cut (publication lock, shared — queries keep flowing),
   /// re-run the FULL offline phase over it and build a complete shadow
   /// shard set (vocabulary, statistics board, per-shard indices) with no
@@ -311,8 +326,8 @@ class ShardedServing {
   /// board from `clustering` in the unpartitioned interning order, slices
   /// the corpus per shard, builds the shard pipelines and wires the stats
   /// sink. `shard_states` (parallel to shard index, may be null for
-  /// "fresh") presets each shard pipeline's epoch/offline coordinates via
-  /// ServingPipeline::adopt — the recluster/restore paths, where a shard's
+  /// "fresh") presets each shard pipeline's epoch/offline coordinates —
+  /// the recluster/restore paths, where a shard's
   /// document count is not its seed count. Touches NO members, so
   /// recluster() can run it off-lock against a captured cut.
   ShardSet build_shard_set(
@@ -349,9 +364,16 @@ class ShardedServing {
 
   /// Publication body shared by add_post/add_posts/restore replay; caller
   /// holds publish_mu_ exclusively. `log` false skips journal/WAL appends
-  /// (restore replay — the records are already durable).
+  /// and the ingest counter (restore replay — the records are already
+  /// durable and were counted when first published).
   void publish_locked(uint32_t owner, PreparedPost post, bool log,
                       const std::string& text);
+
+  /// Sets the deployment-wide gauges (corpus docs, index segments,
+  /// postings bytes, pending pool). The caller holds publish_mu_
+  /// exclusively (or owns the instance outright), so no shard pipeline is
+  /// being mutated and their quiescent() views are safe to read.
+  void publish_gauges_locked();
 
   std::vector<std::unique_ptr<ServingPipeline>> shards_;
   std::shared_ptr<Vocabulary> vocab_;
@@ -369,9 +391,10 @@ class ShardedServing {
   /// Generation lock, ordered BEFORE publish_mu_ everywhere. Queries hold
   /// it shared across their whole scatter (so a generation swap can never
   /// replace shards_/stats_/vocab_ mid-query — one query sees one
-  /// generation, end to end); recluster()'s swap phase holds it exclusive
-  /// (then publish_mu_ exclusive, nested). Ingests and save() take only
-  /// publish_mu_ and cannot deadlock against the swap.
+  /// generation, end to end); recluster()'s swap phase and add_posts hold
+  /// it exclusive (then publish_mu_ exclusive, nested), which is what
+  /// makes a batch atomic to queries. add_post and save() take only
+  /// publish_mu_ and cannot deadlock against either.
   mutable std::shared_mutex recluster_mu_;
   /// Serializes concurrent recluster() jobs (one shadow build at a time).
   std::mutex recluster_job_mu_;
@@ -445,6 +468,20 @@ class ShardedServing {
   std::vector<obs::Gauge*> shard_docs_;
   obs::Histogram* scatter_seconds_ = nullptr;
   obs::Histogram* merge_seconds_ = nullptr;
+
+  /// Deployment-wide instruments, tenant-labelled: fed once per facade
+  /// call with whole-deployment values, so N shards or several tenants
+  /// never clobber one another.
+  obs::Counter* queries_related_ = nullptr;   ///< ibseg_queries_total
+  obs::Counter* queries_external_ = nullptr;  ///< ibseg_queries_total
+  obs::Histogram* related_seconds_ = nullptr;   ///< ibseg_query_seconds
+  obs::Histogram* external_seconds_ = nullptr;  ///< ibseg_query_seconds
+  obs::Counter* pruned_docs_ = nullptr;      ///< ibseg_pruned_docs_total
+  obs::Gauge* corpus_docs_ = nullptr;        ///< ibseg_corpus_docs
+  obs::Gauge* index_segments_ = nullptr;     ///< ibseg_index_segments
+  obs::Gauge* postings_bytes_ = nullptr;     ///< ibseg_postings_bytes
+  obs::Gauge* pending_pool_ = nullptr;       ///< ibseg_pending_pool_size
+  obs::Gauge* snapshot_bytes_ = nullptr;     ///< ibseg_snapshot_bytes
 };
 
 }  // namespace ibseg

@@ -1,10 +1,12 @@
 // Deterministic stress suite for the concurrent serving core
-// (core/serving.h). Seeded datagen corpora drive mixed reader/writer
-// thread mixes, a barrier-synchronized "thundering herd" query burst, and
-// an invariant checker asserting that every query observes a consistent
-// snapshot: the corpus size and publication epoch move in lockstep, result
-// ids only ever reference documents that were reserved for publication,
-// and batched ingests are all-or-nothing. Run under
+// (core/sharded_serving.h at one shard; the multi-shard differential
+// suites live in sharded_differential_test.cc). Seeded datagen corpora
+// drive mixed reader/writer thread mixes, a barrier-synchronized
+// "thundering herd" query burst, and an invariant checker asserting that
+// every query observes a consistent snapshot: the corpus size and
+// publication epoch move in lockstep, result ids only ever reference
+// documents that were reserved for publication, and batched ingests are
+// all-or-nothing. Run under
 // IBSEG_SANITIZE=thread (scripts/check_sanitizers.sh) these tests are the
 // proof that the reader/writer layer is race-free, not accidentally so.
 
@@ -15,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "core/recluster.h"
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
 #include "obs/metrics.h"
@@ -39,13 +41,33 @@ constexpr size_t kSeedPosts = 48;
 constexpr uint64_t kSeedCorpusSeed = 4242;
 constexpr uint64_t kIngestCorpusSeed = 777;
 
-RelatedPostPipeline make_pipeline(size_t posts = kSeedPosts,
+std::vector<Document> seed_corpus(size_t posts = kSeedPosts,
                                   uint64_t seed = kSeedCorpusSeed) {
   GeneratorOptions gen;
   gen.num_posts = posts;
   gen.posts_per_scenario = 4;
   gen.seed = seed;
-  return RelatedPostPipeline::build(analyze_corpus(generate_corpus(gen)));
+  return analyze_corpus(generate_corpus(gen));
+}
+
+RelatedPostPipeline make_pipeline(size_t posts = kSeedPosts,
+                                  const PipelineOptions& options = {}) {
+  return RelatedPostPipeline::build(seed_corpus(posts), options);
+}
+
+/// The serving facade over the same seed corpus, one shard.
+std::unique_ptr<ShardedServing> make_serving(
+    size_t posts = kSeedPosts, const ServingOptions& options = {}) {
+  return ShardedServing::create(seed_corpus(posts), {}, options);
+}
+
+/// Seed corpus size of a deployment (constant; safe under concurrency).
+size_t seed_docs(const ShardedServing& serving) {
+  size_t n = 0;
+  for (uint32_t s = 0; s < serving.num_shards(); ++s) {
+    n += serving.shard(s).seed_docs();
+  }
+  return n;
 }
 
 std::vector<std::string> make_ingest_texts(size_t count,
@@ -63,12 +85,11 @@ std::vector<std::string> make_ingest_texts(size_t count,
 
 // Checks the per-query snapshot invariants and returns an explanation on
 // violation (empty string = consistent). `seed_total` is the corpus size
-// before any online ingest — works for both the unsharded pipeline and
-// the sharded facade (whose epoch/num_docs are the summed per-shard
+// before any online ingest (epoch/num_docs are the summed per-shard
 // values).
-std::string check_snapshot_result(const ServingPipeline::QueryResult& r,
-                                  size_t seed_total, DocId seed_next_id,
-                                  size_t total_ingests) {
+std::string check_snapshot(const ShardedServing::QueryResult& r,
+                           size_t seed_total, DocId seed_next_id,
+                           size_t total_ingests) {
   // A query must observe epoch and corpus size from the same publication
   // point: every published document bumps both by exactly one.
   if (r.num_docs != seed_total + r.epoch) {
@@ -98,14 +119,6 @@ std::string check_snapshot_result(const ServingPipeline::QueryResult& r,
   return "";
 }
 
-/// The original single-pipeline entry point (all existing call sites).
-std::string check_snapshot(const ServingPipeline& serving,
-                           const ServingPipeline::QueryResult& r,
-                           DocId seed_next_id, size_t total_ingests) {
-  return check_snapshot_result(r, serving.seed_docs(), seed_next_id,
-                               total_ingests);
-}
-
 // ----------------------------------------------------- serving basics ----
 
 TEST(ServingPipeline, MatchesWrappedPipelineWhenQuiet) {
@@ -114,10 +127,11 @@ TEST(ServingPipeline, MatchesWrappedPipelineWhenQuiet) {
   Document external = Document::analyze(1u << 30, reference.docs()[0].text());
   auto expected_ext = reference.find_related_external(external, 5);
 
-  ServingPipeline serving(make_pipeline());
+  std::unique_ptr<ShardedServing> serving_owner = make_serving();
+  ShardedServing& serving = *serving_owner;
   auto got = serving.find_related(4, 5);
   EXPECT_EQ(got.epoch, 0u);
-  EXPECT_EQ(got.num_docs, serving.seed_docs());
+  EXPECT_EQ(got.num_docs, seed_docs(serving));
   ASSERT_EQ(got.results.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(got.results[i].doc, expected[i].doc);
@@ -132,7 +146,8 @@ TEST(ServingPipeline, MatchesWrappedPipelineWhenQuiet) {
 }
 
 TEST(ServingPipeline, SingleThreadedIngestMatchesPipelineSemantics) {
-  ServingPipeline serving(make_pipeline(20));
+  std::unique_ptr<ShardedServing> serving_owner = make_serving(20);
+  ShardedServing& serving = *serving_owner;
   std::vector<std::string> texts = make_ingest_texts(3);
   DocId first = serving.next_id();
   DocId a = serving.add_post(texts[0]);
@@ -142,11 +157,11 @@ TEST(ServingPipeline, SingleThreadedIngestMatchesPipelineSemantics) {
   EXPECT_EQ(ids[0], first + 1);
   EXPECT_EQ(ids[1], first + 2);
   EXPECT_EQ(serving.epoch(), 3u);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + 3);
+  EXPECT_EQ(serving.num_docs(), seed_docs(serving) + 3);
   // The ingested posts answer queries.
   for (DocId id : {a, ids[0], ids[1]}) {
     auto r = serving.find_related(id, 5);
-    EXPECT_EQ(r.num_docs, serving.seed_docs() + r.epoch);
+    EXPECT_EQ(r.num_docs, seed_docs(serving) + r.epoch);
   }
 }
 
@@ -159,8 +174,10 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
   constexpr size_t kQueriesPerReader = 40;
   constexpr size_t kTotalIngests = kWriters * kIngestsPerWriter;
 
-  ServingPipeline serving(make_pipeline());
+  std::unique_ptr<ShardedServing> serving_owner = make_serving();
+  ShardedServing& serving = *serving_owner;
   const DocId seed_next_id = serving.next_id();
+  const size_t seed = seed_docs(serving);  // read before any thread starts
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
 
   // External query posts are analyzed before the threads start (Document
@@ -188,7 +205,7 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
         Rng rng(1000 + t);  // per-thread deterministic query schedule
         uint64_t last_epoch = 0;
         for (size_t q = 0; q < kQueriesPerReader; ++q) {
-          ServingPipeline::QueryResult r;
+          ShardedServing::QueryResult r;
           if (q % 4 == 3) {
             r = serving.find_related_external(
                 externals[q % externals.size()], 5);
@@ -198,7 +215,7 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
             r = serving.find_related(query, 5);
           }
           std::string why =
-              check_snapshot(serving, r, seed_next_id, kTotalIngests);
+              check_snapshot(r, seed, seed_next_id, kTotalIngests);
           if (why.empty() && r.epoch < last_epoch) {
             why = "epoch moved backwards within one reader";
           }
@@ -219,7 +236,7 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
 
   // Quiescent state: everything published, every ingested id queryable.
   EXPECT_EQ(serving.epoch(), kTotalIngests);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kTotalIngests);
+  EXPECT_EQ(serving.num_docs(), seed_docs(serving) + kTotalIngests);
   EXPECT_EQ(serving.next_id(), seed_next_id + kTotalIngests);
   for (DocId id = seed_next_id; id < seed_next_id + kTotalIngests; ++id) {
     auto r = serving.find_related(id, 3);
@@ -232,11 +249,12 @@ TEST(ConcurrencyStress, MixedReadersAndWritersKeepInvariants) {
 
 TEST(ConcurrencyStress, ThunderingHerdAgreesWithoutWriters) {
   constexpr size_t kHerd = 8;
-  ServingPipeline serving(make_pipeline());
+  std::unique_ptr<ShardedServing> serving_owner = make_serving();
+  ShardedServing& serving = *serving_owner;
   auto reference = serving.find_related(7, 5);
 
   CyclicBarrier barrier(kHerd);
-  std::vector<ServingPipeline::QueryResult> results(kHerd);
+  std::vector<ShardedServing::QueryResult> results(kHerd);
   {
     ScopedThreads threads;
     for (size_t t = 0; t < kHerd; ++t) {
@@ -262,8 +280,10 @@ TEST(ConcurrencyStress, ThunderingHerdAgreesWithoutWriters) {
 TEST(ConcurrencyStress, ThunderingHerdStaysConsistentDuringIngest) {
   constexpr size_t kHerd = 6;
   constexpr size_t kRounds = 6;
-  ServingPipeline serving(make_pipeline());
+  std::unique_ptr<ShardedServing> serving_owner = make_serving();
+  ShardedServing& serving = *serving_owner;
   const DocId seed_next_id = serving.next_id();
+  const size_t seed = seed_docs(serving);  // read before any thread starts
   std::vector<std::string> texts = make_ingest_texts(kRounds);
 
   // kHerd query threads + 1 writer thread rendezvous each round, then the
@@ -285,7 +305,7 @@ TEST(ConcurrencyStress, ThunderingHerdStaysConsistentDuringIngest) {
           barrier.arrive_and_wait();
           auto r = serving.find_related(
               static_cast<DocId>((t * 7 + round) % kSeedPosts), 5);
-          if (!check_snapshot(serving, r, seed_next_id, kRounds).empty() ||
+          if (!check_snapshot(r, seed, seed_next_id, kRounds).empty() ||
               r.epoch < last_epoch) {
             violations.fetch_add(1);
           }
@@ -303,37 +323,46 @@ TEST(ConcurrencyStress, ThunderingHerdStaysConsistentDuringIngest) {
 TEST(ConcurrencyStress, BatchedIngestPublishesAtomically) {
   constexpr size_t kBatch = 10;
   constexpr size_t kProbes = 200;
-  ServingPipeline serving(make_pipeline(24));
-  std::vector<std::string> texts = make_ingest_texts(kBatch);
+  // One shard, and several: the batch must be all-or-nothing across the
+  // scatter, not just within one shard.
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ServingOptions options;
+    options.num_shards = shards;
+    std::unique_ptr<ShardedServing> serving_owner = make_serving(24, options);
+    ShardedServing& serving = *serving_owner;
+    const size_t seed = seed_docs(serving);
+    std::vector<std::string> texts = make_ingest_texts(kBatch);
 
-  std::atomic<bool> start{false};
-  std::atomic<bool> done{false};
-  std::atomic<size_t> partial_observations{0};
-  {
-    ScopedThreads threads;
-    threads.spawn([&] {
-      while (!start.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      serving.add_posts(texts);
-      done.store(true, std::memory_order_release);
-    });
-    threads.spawn([&] {
-      start.store(true, std::memory_order_release);
-      for (size_t i = 0; i < kProbes && !done.load(std::memory_order_acquire);
-           ++i) {
-        auto r = serving.find_related(3, 5);
-        // The batch publishes under one exclusive acquisition: a query
-        // sees either the pre-batch corpus or the complete batch.
-        uint64_t published = r.num_docs - serving.seed_docs();
-        if (published != 0 && published != kBatch) {
-          partial_observations.fetch_add(1);
+    std::atomic<bool> start{false};
+    std::atomic<bool> done{false};
+    std::atomic<size_t> partial_observations{0};
+    {
+      ScopedThreads threads;
+      threads.spawn([&] {
+        while (!start.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
         }
-      }
-    });
+        serving.add_posts(texts);
+        done.store(true, std::memory_order_release);
+      });
+      threads.spawn([&] {
+        start.store(true, std::memory_order_release);
+        for (size_t i = 0;
+             i < kProbes && !done.load(std::memory_order_acquire); ++i) {
+          auto r = serving.find_related(3, 5);
+          // A query sees either the pre-batch corpus or the complete
+          // batch.
+          uint64_t published = r.num_docs - seed;
+          if (published != 0 && published != kBatch) {
+            partial_observations.fetch_add(1);
+          }
+        }
+      });
+    }
+    EXPECT_EQ(partial_observations.load(), 0u);
+    EXPECT_EQ(serving.num_docs(), seed + kBatch);
   }
-  EXPECT_EQ(partial_observations.load(), 0u);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kBatch);
 }
 
 // ------------------------------------------------ workload determinism ----
@@ -344,7 +373,8 @@ TEST(ConcurrencyStress, ConcurrentWorkloadReachesDeterministicFinalState) {
   // (sorted) ingested texts — ids may be assigned in a different order,
   // but the published set is the same.
   auto run_workload = [] {
-    ServingPipeline serving(make_pipeline(24));
+    std::unique_ptr<ShardedServing> serving_owner = make_serving(24);
+    ShardedServing& serving = *serving_owner;
     std::vector<std::string> texts = make_ingest_texts(8);
     {
       ScopedThreads threads;
@@ -360,9 +390,9 @@ TEST(ConcurrencyStress, ConcurrentWorkloadReachesDeterministicFinalState) {
       });
     }
     std::vector<std::string> ingested;
-    for (size_t d = serving.seed_docs();
-         d < serving.quiescent().docs().size(); ++d) {
-      ingested.push_back(serving.quiescent().docs()[d].text());
+    const RelatedPostPipeline& shard = serving.shard(0).quiescent();
+    for (size_t d = seed_docs(serving); d < shard.docs().size(); ++d) {
+      ingested.push_back(shard.docs()[d].text());
     }
     std::sort(ingested.begin(), ingested.end());
     return std::make_tuple(serving.num_docs(), serving.epoch(),
@@ -393,8 +423,11 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
   constexpr size_t kReaders = 2;
   constexpr size_t kQueriesPerReader = 30;
 
-  ServingPipeline serving(make_pipeline(24));  // pruned: the default path
+  // Pruned: the default path.
+  std::unique_ptr<ShardedServing> serving_owner = make_serving(24);
+  ShardedServing& serving = *serving_owner;
   const DocId seed_next_id = serving.next_id();
+  const size_t seed = seed_docs(serving);  // read before any thread starts
   std::vector<std::string> texts = make_ingest_texts(kPairs);
 
   std::atomic<size_t> violations{0};
@@ -429,7 +462,7 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
           DocId query = static_cast<DocId>(rng.next_below(24));
           auto r = serving.find_related(query, 5);
           std::string why =
-              check_snapshot(serving, r, seed_next_id, 2 * kPairs);
+              check_snapshot(r, seed, seed_next_id, 2 * kPairs);
           if (!why.empty()) {
             if (violations.fetch_add(1) == 0) first_violation[t] = why;
             return;
@@ -448,25 +481,20 @@ TEST(ConcurrencyStress, PrunedPathStaysFreshAcrossIngestReseals) {
   // must agree bit for bit on every query.
   PipelineOptions exhaustive_opt;
   exhaustive_opt.matcher.exhaustive_fallback = true;
-  GeneratorOptions gen;
-  gen.num_posts = 24;
-  gen.posts_per_scenario = 4;
-  gen.seed = kSeedCorpusSeed;
-  ServingPipeline reference(RelatedPostPipeline::build(
-      analyze_corpus(generate_corpus(gen)), exhaustive_opt));
+  RelatedPostPipeline reference = make_pipeline(24, exhaustive_opt);
   for (size_t i = 0; i < kPairs; ++i) {
     reference.add_post(texts[i]);
     reference.add_post(texts[i]);
   }
-  ASSERT_EQ(reference.num_docs(), serving.num_docs());
+  ASSERT_EQ(reference.docs().size(), serving.num_docs());
   for (DocId q = 0; q < seed_next_id + 2 * kPairs; ++q) {
     auto want = reference.find_related(q, 5);
     auto got = serving.find_related(q, 5);
-    EXPECT_EQ(got.epoch, want.epoch) << "q " << q;
-    ASSERT_EQ(got.results.size(), want.results.size()) << "q " << q;
-    for (size_t i = 0; i < want.results.size(); ++i) {
-      EXPECT_EQ(got.results[i].doc, want.results[i].doc) << "q " << q;
-      EXPECT_EQ(got.results[i].score, want.results[i].score) << "q " << q;
+    EXPECT_EQ(got.epoch, 2 * kPairs) << "q " << q;
+    ASSERT_EQ(got.results.size(), want.size()) << "q " << q;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.results[i].doc, want[i].doc) << "q " << q;
+      EXPECT_EQ(got.results[i].score, want[i].score) << "q " << q;
     }
   }
 }
@@ -494,9 +522,12 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
   ServingOptions options;
   options.cache.capacity = 8;  // far below the live key set
   options.cache.shards = 2;
-  ServingPipeline serving(make_pipeline(), options);
+  std::unique_ptr<ShardedServing> serving_owner =
+      make_serving(kSeedPosts, options);
+  ShardedServing& serving = *serving_owner;
   ASSERT_NE(serving.query_cache(), nullptr);
   const DocId seed_next_id = serving.next_id();
+  const size_t seed = seed_docs(serving);  // read before any thread starts
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
 
   std::atomic<size_t> violations{0};
@@ -515,9 +546,9 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
       uint64_t last_epoch = 0;
       for (size_t q = 0; q < kQueriesPerReader; ++q) {
         auto [query, k] = pick_query(q);
-        ServingPipeline::QueryResult r = serving.find_related(query, k);
+        ShardedServing::QueryResult r = serving.find_related(query, k);
         std::string why =
-            check_snapshot(serving, r, seed_next_id, kTotalIngests);
+            check_snapshot(r, seed, seed_next_id, kTotalIngests);
         if (why.empty() && r.epoch < last_epoch) {
           why = "epoch moved backwards within one reader (stale cache hit)";
         }
@@ -557,10 +588,10 @@ TEST(ConcurrencyStress, CacheHammerKeepsSnapshotInvariants) {
   EXPECT_GT(serving.query_cache()->hits(), 0u);
 
   // Quiescent cross-check: with all writers joined, a cache-served answer
-  // must equal the wrapped pipeline's direct answer.
+  // must equal the (single) shard pipeline's direct answer.
   auto fill = serving.find_related(kHotKey, 5);
   auto hit = serving.find_related(kHotKey, 5);
-  auto want = serving.quiescent().find_related(kHotKey, 5);
+  auto want = serving.shard(0).quiescent().find_related(kHotKey, 5);
   EXPECT_EQ(fill.epoch, kTotalIngests);
   EXPECT_EQ(hit.epoch, kTotalIngests);
   ASSERT_EQ(hit.results.size(), want.size());
@@ -591,8 +622,11 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
   ServingOptions options;
   options.cache.capacity = 64;
   options.recluster.pending_distance_threshold = 0.0;  // pool every ingest
-  ServingPipeline serving(make_pipeline(), options);
+  std::unique_ptr<ShardedServing> serving_owner =
+      make_serving(kSeedPosts, options);
+  ShardedServing& serving = *serving_owner;
   const DocId seed_next_id = serving.next_id();
+  const size_t seed = seed_docs(serving);  // read before any thread starts
   std::vector<std::string> texts = make_ingest_texts(kTotalIngests);
 
   std::atomic<size_t> violations{0};
@@ -632,7 +666,7 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
               rng.next_below(static_cast<uint64_t>(kSeedPosts)));
           auto r = serving.find_related(query, 5);
           std::string why =
-              check_snapshot(serving, r, seed_next_id, kTotalIngests);
+              check_snapshot(r, seed, seed_next_id, kTotalIngests);
           uint64_t gen = serving.offline_generation();
           if (why.empty() && r.epoch < last_epoch) {
             why = "epoch moved backwards within one reader";
@@ -660,12 +694,12 @@ TEST(ConcurrencyStress, ReclusterUnderReadersAndWriters) {
   // reached exactly the fired count, and the invariant held end to end.
   EXPECT_EQ(serving.offline_generation(), kReclusters);
   EXPECT_EQ(serving.epoch(), kTotalIngests);
-  EXPECT_EQ(serving.num_docs(), serving.seed_docs() + kTotalIngests);
+  EXPECT_EQ(serving.num_docs(), seed_docs(serving) + kTotalIngests);
   EXPECT_EQ(serving.next_id(), seed_next_id + kTotalIngests);
 
   // A final quiescent epoch folds everything into the offline coverage.
   EXPECT_EQ(serving.recluster(), kReclusters + 1);
-  EXPECT_EQ(serving.offline_docs(), serving.num_docs());
+  EXPECT_EQ(serving.offline_publications(), serving.epoch());
   EXPECT_EQ(serving.docs_since_recluster(), 0u);
   EXPECT_EQ(serving.pending_pool_size(), 0u);
   for (DocId id = seed_next_id; id < seed_next_id + kTotalIngests; ++id) {
@@ -729,8 +763,8 @@ TEST(ConcurrencyStress, ShardedReclusterWorkerUnderReadersAndWriters) {
           DocId query = static_cast<DocId>(
               rng.next_below(static_cast<uint64_t>(kSeedPosts)));
           auto r = sharded->find_related(query, 5);
-          std::string why = check_snapshot_result(r, seed_total, seed_next_id,
-                                                  kTotalIngests);
+          std::string why =
+              check_snapshot(r, seed_total, seed_next_id, kTotalIngests);
           uint64_t gen = sharded->offline_generation();
           if (why.empty() && r.epoch < last_epoch) {
             why = "epoch moved backwards within one reader";

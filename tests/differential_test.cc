@@ -12,10 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/serving.h"
+#include "core/sharded_serving.h"
 #include "datagen/post_generator.h"
 #include "storage/snapshot.h"
 
@@ -61,6 +62,14 @@ struct SharedOffline {
     options.matcher = matcher;
     return RelatedPostPipeline::build_from_snapshot(analyze_corpus(corpus),
                                                     snapshot, options);
+  }
+
+  /// The same corpus behind the serving facade (one shard). create()
+  /// reruns the offline phase, which is deterministic, so it indexes the
+  /// state the snapshot-restored variants do.
+  std::unique_ptr<ShardedServing> serving(const PipelineOptions& options,
+                                          const ServingOptions& serving) const {
+    return ShardedServing::create(analyze_corpus(corpus), options, serving);
   }
 };
 
@@ -128,29 +137,29 @@ TEST(Differential, BatchMatchesPerQueryInEveryThreadConfig) {
 // if the ranking happens to match.
 TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   SharedOffline offline(kPosts, 11);
-  ServingPipeline uncached(offline.pipeline(0));
+  RelatedPostPipeline uncached = offline.pipeline(0);
   ServingOptions with_cache;
   with_cache.cache.capacity = 16;  // small: exercises eviction mid-run
   with_cache.cache.shards = 2;
-  ServingPipeline cached(offline.pipeline(0), with_cache);
-  ASSERT_NE(cached.query_cache(), nullptr);
-  ASSERT_EQ(uncached.query_cache(), nullptr);
+  std::unique_ptr<ShardedServing> cached = offline.serving({}, with_cache);
+  ASSERT_NE(cached->query_cache(), nullptr);
+  uint64_t ingests = 0;
 
   SyntheticCorpus ingest_corpus =
       generate_corpus(corpus_options(6, /*seed=*/555));
   auto compare_all = [&](const std::string& when) {
     for (DocId q = 0; q < kPosts; ++q) {
       for (int k : {3, 7}) {
-        auto want = uncached.find_related(q, k);
+        std::vector<ScoredDoc> want = uncached.find_related(q, k);
         // Twice: first call may fill the cache, second must hit it —
         // both must equal the uncached answer, epoch included.
         for (int round = 0; round < 2; ++round) {
-          auto got = cached.find_related(q, k);
-          EXPECT_EQ(got.epoch, want.epoch)
+          auto got = cached->find_related(q, k);
+          EXPECT_EQ(got.epoch, ingests)
               << when << " q " << q << " k " << k << " round " << round;
-          EXPECT_EQ(got.num_docs, want.num_docs)
+          EXPECT_EQ(got.num_docs, uncached.docs().size())
               << when << " q " << q << " k " << k << " round " << round;
-          expect_identical(got.results, want.results,
+          expect_identical(got.results, want,
                            when + " q " + std::to_string(q) + " k " +
                                std::to_string(k) + " round " +
                                std::to_string(round));
@@ -160,41 +169,44 @@ TEST(Differential, CachedVsUncachedIdenticalAcrossInterleavedIngests) {
   };
 
   compare_all("pre-ingest");
-  EXPECT_GT(cached.query_cache()->hits(), 0u);
+  EXPECT_GT(cached->query_cache()->hits(), 0u);
   for (size_t i = 0; i < ingest_corpus.posts.size(); ++i) {
     DocId a = uncached.add_post(ingest_corpus.posts[i].text);
-    DocId b = cached.add_post(ingest_corpus.posts[i].text);
+    DocId b = cached->add_post(ingest_corpus.posts[i].text);
     ASSERT_EQ(a, b);
+    ++ingests;
     compare_all("after ingest " + std::to_string(i));
   }
   // The tiny capacity must have evicted along the way — otherwise this
   // test never exercised the eviction path.
-  EXPECT_GT(cached.query_cache()->evictions(), 0u);
+  EXPECT_GT(cached->query_cache()->evictions(), 0u);
 }
 
 TEST(Differential, BatchedServingMatchesUncachedPerQuery) {
   SharedOffline offline(kPosts, 777);
-  ServingPipeline uncached(offline.pipeline(0));
+  RelatedPostPipeline uncached = offline.pipeline(0);
   ServingOptions with_cache;
   with_cache.cache.capacity = 64;
-  ServingPipeline cached(offline.pipeline(8), with_cache);
+  PipelineOptions parallel;
+  parallel.matcher.query_threads = 8;
+  std::unique_ptr<ShardedServing> cached =
+      offline.serving(parallel, with_cache);
 
   std::vector<DocId> queries;
   for (DocId q = 0; q < kPosts; ++q) queries.push_back(q % (kPosts / 2));
   // Twice: second pass is served mostly from cache; both must agree.
   for (int round = 0; round < 2; ++round) {
-    auto batch = cached.find_related_batch(queries, 5);
+    auto batch = cached->find_related_batch(queries, 5);
     ASSERT_EQ(batch.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto want = uncached.find_related(queries[i], 5);
-      EXPECT_EQ(batch[i].epoch, want.epoch);
-      EXPECT_EQ(batch[i].num_docs, want.num_docs);
-      expect_identical(batch[i].results, want.results,
+      EXPECT_EQ(batch[i].epoch, 0u);
+      EXPECT_EQ(batch[i].num_docs, uncached.docs().size());
+      expect_identical(batch[i].results, uncached.find_related(queries[i], 5),
                        "serving batch round " + std::to_string(round) +
                            " q " + std::to_string(queries[i]));
     }
   }
-  EXPECT_GT(cached.query_cache()->hits(), 0u);
+  EXPECT_GT(cached->query_cache()->hits(), 0u);
 }
 
 // ----------------------------------------------- tie-handling regression ----
@@ -319,18 +331,20 @@ TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
   MatcherOptions pruned;
   MatcherOptions exhaustive;
   exhaustive.exhaustive_fallback = true;
-  ServingPipeline p(offline.pipeline_with(pruned));
-  ServingPipeline e(offline.pipeline_with(exhaustive));
+  PipelineOptions pruned_options;
+  pruned_options.matcher = pruned;
+  std::unique_ptr<ShardedServing> p = offline.serving(pruned_options, {});
+  RelatedPostPipeline e = offline.pipeline_with(exhaustive);
 
   SyntheticCorpus ingest_corpus =
       generate_corpus(corpus_options(6, /*seed=*/999));
   auto compare_all = [&](const std::string& when, size_t num_docs) {
     for (DocId q = 0; q < num_docs; ++q) {
       for (int k : {1, 5, 50}) {
-        auto got = p.find_related(q, k);
-        auto want = e.find_related(q, k);
-        EXPECT_EQ(got.epoch, want.epoch) << when << " q " << q << " k " << k;
-        expect_identical(got.results, want.results,
+        auto got = p->find_related(q, k);
+        EXPECT_EQ(got.num_docs, e.docs().size())
+            << when << " q " << q << " k " << k;
+        expect_identical(got.results, e.find_related(q, k),
                          when + " q " + std::to_string(q) + " k " +
                              std::to_string(k));
       }
@@ -339,7 +353,7 @@ TEST(Differential, PrunedVsExhaustiveAcrossInterleavedIngests) {
 
   compare_all("pre-ingest", kPosts);
   for (size_t i = 0; i < ingest_corpus.posts.size(); ++i) {
-    DocId a = p.add_post(ingest_corpus.posts[i].text);
+    DocId a = p->add_post(ingest_corpus.posts[i].text);
     DocId b = e.add_post(ingest_corpus.posts[i].text);
     ASSERT_EQ(a, b);
     compare_all("after ingest " + std::to_string(i), kPosts + i + 1);

@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs): histogram bucket
 // boundaries and quantile goldens, counter exactness under threads,
 // deterministic registry rendering, and the serving integration — query
-// metrics must actually advance when ServingPipeline serves queries.
+// metrics must actually advance when ShardedServing serves queries.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/serving.h"
 #include "core/sharded_serving.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -237,9 +236,8 @@ TEST(TraceTest, DisabledTracingRecordsNothing) {
 // The serving metrics live in the process-wide registry, which other tests
 // in this binary never touch by these names; reads are before/after deltas
 // so the test stays valid whatever ran first.
-TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
-  std::vector<Document> docs;
-  std::vector<std::string> texts = {
+const std::vector<std::string>& forum_texts() {
+  static const std::vector<std::string> texts = {
       "My laptop overheats when compiling. The fan spins loudly. "
       "How can I improve the cooling? I already cleaned the vents.",
       "The compiler crashes with an internal error on this file. "
@@ -249,35 +247,48 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
       "After the last update the build takes twice as long. "
       "Is there a way to profile the build? Which step regressed?",
   };
-  for (size_t i = 0; i < texts.size(); ++i) {
-    docs.push_back(Document::analyze(static_cast<DocId>(i), texts[i]));
+  return texts;
+}
+
+std::vector<Document> forum_docs() {
+  std::vector<Document> docs;
+  for (size_t i = 0; i < forum_texts().size(); ++i) {
+    docs.push_back(
+        Document::analyze(static_cast<DocId>(i), forum_texts()[i]));
   }
-  ServingPipeline serving(RelatedPostPipeline::build(std::move(docs), {}));
+  return docs;
+}
+
+TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
+  ServingOptions options;
+  options.tenant = "obs_single";
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(forum_docs(), {}, options);
+  ASSERT_NE(serving, nullptr);
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Counter& queries =
-      reg.counter("ibseg_queries_total", "", {{"op", "find_related"}});
-  obs::Histogram& latency =
-      reg.histogram("ibseg_query_seconds", "", {{"op", "find_related"}});
+  const obs::Labels related{{"op", "find_related"}, {"tenant", "obs_single"}};
+  obs::Counter& queries = reg.counter("ibseg_queries_total", "", related);
+  obs::Histogram& latency = reg.histogram("ibseg_query_seconds", "", related);
   obs::Counter& ingested = reg.counter("ibseg_ingested_posts_total", "");
-  obs::Gauge& corpus = reg.gauge("ibseg_corpus_docs", "");
+  obs::Gauge& corpus =
+      reg.gauge("ibseg_corpus_docs", "", {{"tenant", "obs_single"}});
 
   uint64_t queries_before = queries.value();
   uint64_t latency_before = latency.count();
   double latency_sum_before = latency.sum();
-  serving.find_related(0, 3);
-  serving.find_related(1, 3);
+  serving->find_related(0, 3);
+  serving->find_related(1, 3);
   EXPECT_EQ(queries.value(), queries_before + 2);
   EXPECT_EQ(latency.count(), latency_before + 2);
   EXPECT_GE(latency.sum(), latency_sum_before);
 
   uint64_t ingested_before = ingested.value();
-  serving.add_post(
+  serving->add_post(
       "New post about fan noise and overheating during long builds. "
       "Looking for cooling advice and compiler tips.");
   EXPECT_EQ(ingested.value(), ingested_before + 1);
-  // The corpus gauge reflects the serving pipeline that ingested last.
-  EXPECT_DOUBLE_EQ(corpus.value(), static_cast<double>(serving.num_docs()));
+  EXPECT_DOUBLE_EQ(corpus.value(), static_cast<double>(serving->num_docs()));
 
   // The stage histograms exist in the exposition (registered as a catalog,
   // so even never-fired stages render at zero).
@@ -290,32 +301,84 @@ TEST(ServingObservabilityTest, QueryAndIngestMetricsAdvance) {
             std::string::npos);
 }
 
-// The sharded facade reports ingest into the same series ServingPipeline
-// does: one ibseg_ingest_seconds observation per add_post / add_posts call
+// The serving metrics come from the facade, once per call, with
+// whole-deployment values: on 2 shards k queries advance the query counter
+// by k (not by k legs), the corpus gauge is the deployment's size (not the
+// last-publishing shard's slice), and one restore is one observation.
+TEST(ServingObservabilityTest, ShardedFacadeFeedsDeploymentWideMetrics) {
+  const std::string dir = ::testing::TempDir() + "/ibseg_obs_sharded_facade";
+  std::filesystem::remove_all(dir);
+  ServingOptions options;
+  options.num_shards = 2;
+  options.tenant = "obs_facade";
+  options.persist.shard_dir = dir;
+  std::unique_ptr<ShardedServing> serving =
+      ShardedServing::create(forum_docs(), {}, options);
+  ASSERT_NE(serving, nullptr);
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const obs::Labels tenant{{"tenant", "obs_facade"}};
+  obs::Counter& queries = reg.counter(
+      "ibseg_queries_total", "",
+      {{"op", "find_related"}, {"tenant", "obs_facade"}});
+  obs::Counter& external = reg.counter(
+      "ibseg_queries_total", "",
+      {{"op", "find_related_external"}, {"tenant", "obs_facade"}});
+  obs::Gauge& corpus = reg.gauge("ibseg_corpus_docs", "", tenant);
+  obs::Gauge& segments = reg.gauge("ibseg_index_segments", "", tenant);
+  obs::Histogram& restores =
+      reg.histogram("ibseg_persist_seconds", "", {{"op", "restore"}});
+  obs::Histogram& saves =
+      reg.histogram("ibseg_persist_seconds", "", {{"op", "save"}});
+
+  const uint64_t queries_before = queries.value();
+  constexpr int kQueries = 5;
+  for (int i = 0; i < kQueries; ++i) {
+    serving->find_related(static_cast<DocId>(i % 4), 3);
+  }
+  EXPECT_EQ(queries.value(), queries_before + kQueries);
+  const uint64_t external_before = external.value();
+  serving->find_related_external(
+      Document::analyze(1000, "Fan noise while compiling. Any advice?"), 3);
+  EXPECT_EQ(external.value(), external_before + 1);
+
+  serving->add_posts({"Which cooling pad keeps a laptop quiet?",
+                      "The profiler shows the linker step regressed.",
+                      "The fan is loud and the compiler is slow."});
+  EXPECT_DOUBLE_EQ(corpus.value(), static_cast<double>(serving->num_docs()));
+  size_t indexed = 0;
+  for (uint32_t s = 0; s < serving->num_shards(); ++s) {
+    indexed += serving->shard(s).quiescent().matcher().num_segments();
+  }
+  EXPECT_DOUBLE_EQ(segments.value(), static_cast<double>(indexed));
+
+  const uint64_t saves_before = saves.count();
+  ASSERT_TRUE(serving->save(dir));
+  EXPECT_EQ(saves.count(), saves_before + 1);
+  const size_t docs = serving->num_docs();
+  serving.reset();
+  const uint64_t restores_before = restores.count();
+  std::unique_ptr<ShardedServing> restored =
+      ShardedServing::restore(dir, {}, options);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restores.count(), restores_before + 1);
+  EXPECT_DOUBLE_EQ(corpus.value(), static_cast<double>(docs));
+  restored.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// The facade reports ingest: one ibseg_ingest_seconds observation per
+// add_post / add_posts call
 // and one ibseg_wal_appends_total record per successful append — two per
 // post (publication journal, then the owner shard's WAL).
 TEST(ServingObservabilityTest, ShardedIngestFeedsIngestAndWalMetrics) {
-  std::vector<std::string> texts = {
-      "My laptop overheats when compiling. The fan spins loudly. "
-      "How can I improve the cooling? I already cleaned the vents.",
-      "The compiler crashes with an internal error on this file. "
-      "Has anyone seen this before? Which flags should I try?",
-      "My laptop fan is loud under load and the case gets hot. "
-      "What thermal paste do you recommend? Any cooling pad advice?",
-      "After the last update the build takes twice as long. "
-      "Is there a way to profile the build? Which step regressed?",
-  };
-  std::vector<Document> docs;
-  for (size_t i = 0; i < texts.size(); ++i) {
-    docs.push_back(Document::analyze(static_cast<DocId>(i), texts[i]));
-  }
   const std::string dir = ::testing::TempDir() + "/ibseg_obs_sharded_ingest";
   std::filesystem::remove_all(dir);
   ServingOptions options;
   options.num_shards = 2;
   options.persist.shard_dir = dir;
   std::unique_ptr<ShardedServing> serving =
-      ShardedServing::create(std::move(docs), {}, options);
+      ShardedServing::create(forum_docs(), {}, options);
   ASSERT_NE(serving, nullptr);
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
@@ -334,7 +397,7 @@ TEST(ServingObservabilityTest, ShardedIngestFeedsIngestAndWalMetrics) {
   EXPECT_EQ(ingest.count(), ingest_before + 2);
   EXPECT_EQ(appends.value(), appends_before + 6);
   EXPECT_EQ(errors.value(), errors_before);
-  EXPECT_EQ(serving->num_docs(), texts.size() + 3);
+  EXPECT_EQ(serving->num_docs(), forum_texts().size() + 3);
 
   // Both new series render, alongside the postings fold counter.
   std::string text = obs::render_text();
